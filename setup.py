@@ -42,7 +42,7 @@ setup(
     long_description_content_type="text/markdown",
     author="paper-repo-growth",
     license="MIT",
-    python_requires=">=3.8",
+    python_requires=">=3.11",
     package_dir={"": "src"},
     packages=find_packages("src"),
     entry_points={

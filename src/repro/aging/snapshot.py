@@ -100,12 +100,12 @@ def _inode_from_dict(payload: Dict) -> Inode:
         atime_ns=float(payload["atime_ns"]),
         mtime_ns=float(payload["mtime_ns"]),
         ctime_ns=float(payload["ctime_ns"]),
+        extents=[
+            Extent(file_block=int(fb), device_block=int(db), count=int(count))
+            for fb, db, count in payload["extents"]
+        ],
         symlink_target=payload.get("symlink_target"),
     )
-    inode.extents = [
-        Extent(file_block=int(fb), device_block=int(db), count=int(count))
-        for fb, db, count in payload["extents"]
-    ]
     for name, number, kind in payload["entries"]:
         inode.entries[name] = DirectoryEntry(name, int(number), InodeType(kind))
     return inode

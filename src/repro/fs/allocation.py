@@ -26,8 +26,9 @@ offsets.
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.fs.base import NoSpaceError
 from repro.obs.metrics import MetricSource
@@ -80,15 +81,31 @@ class FreeSpaceInspectionMixin:
     Both :class:`BlockGroupAllocator` and :class:`ExtentAllocator` keep their
     free space as a list of per-group :class:`FreeExtentMap` objects in
     ``self._groups``; this mixin turns that shared representation into a
-    consistent public surface.
+    consistent public surface.  ``self._free_blocks`` is the sum of the
+    groups' free counts, kept by :meth:`_take`, :meth:`_release` and
+    :meth:`restore_free_state` so no allocation has to sum the groups.
     """
 
     _groups: List[FreeExtentMap]
+    _free_blocks: int
 
     @property
     def free_blocks(self) -> int:
-        """Total free data blocks across all groups."""
-        return sum(group.free_blocks for group in self._groups)
+        """Total free data blocks across all groups (O(1): a maintained count)."""
+        return self._free_blocks
+
+    def _groups_from(self, goal_group: int) -> Iterator[int]:
+        """Group indexes from ``goal_group`` to the last, then wrapping to the first."""
+        return itertools.chain(range(goal_group, len(self._groups)), range(goal_group))
+
+    def _take(self, group: FreeExtentMap, index: int, count: int) -> BlockRun:
+        run = group.take_from_run(index, count)
+        self._free_blocks -= count
+        return run
+
+    def _release(self, group: FreeExtentMap, start: int, count: int) -> None:
+        group.release(start, count)
+        self._free_blocks += count
 
     def free_runs(self) -> List[BlockRun]:
         """Every free run on the device, sorted by start block."""
@@ -130,6 +147,7 @@ class FreeSpaceInspectionMixin:
             )
         for group, runs in zip(self._groups, state):
             group.replace_runs([(int(start), int(count)) for start, count in runs])
+        self._free_blocks = sum(group.free_blocks for group in self._groups)
 
 
 class FreeExtentMap:
@@ -152,6 +170,10 @@ class FreeExtentMap:
     def runs(self) -> List[BlockRun]:
         """Snapshot of the free runs (sorted by start block)."""
         return list(zip(self._starts, self._counts))
+
+    def run_length(self, index: int) -> int:
+        """Number of blocks in run ``index``."""
+        return self._counts[index]
 
     def replace_runs(self, runs: List[BlockRun]) -> None:
         """Overwrite the free map with an explicit run list (snapshot restore).
@@ -303,6 +325,7 @@ class BlockGroupAllocator(FreeSpaceInspectionMixin):
             )
             block += size
             remaining -= size
+        self._free_blocks = sum(group.free_blocks for group in self._groups)
 
     # ------------------------------------------------------------ inspection
     def group_of_block(self, block: int) -> int:
@@ -334,8 +357,7 @@ class BlockGroupAllocator(FreeSpaceInspectionMixin):
         goal_group = self.group_of_block(goal_block) if goal_block is not None else 0
         runs: List[BlockRun] = []
         remaining = count
-        groups_in_order = list(range(goal_group, self.group_count)) + list(range(0, goal_group))
-        for group_index in groups_in_order:
+        for group_index in self._groups_from(goal_group):
             group = self._groups[group_index]
             while remaining > 0 and group.free_blocks > 0:
                 idx = group.find_first_fit(remaining, goal_block if group_index == goal_group else None)
@@ -343,9 +365,8 @@ class BlockGroupAllocator(FreeSpaceInspectionMixin):
                     idx = group.find_best_fit(remaining)
                 if idx is None:
                     break
-                available = group.runs()[idx][1]
-                take = min(remaining, available)
-                runs.append(group.take_from_run(idx, take))
+                take = min(remaining, group.run_length(idx))
+                runs.append(self._take(group, idx, take))
                 remaining -= take
             if remaining == 0:
                 break
@@ -375,7 +396,7 @@ class BlockGroupAllocator(FreeSpaceInspectionMixin):
                 self.reserved_blocks + (group_index + 1) * self.blocks_per_group
             )
             in_group = min(remaining, group_end - block)
-            group.release(block, in_group)
+            self._release(group, block, in_group)
             block += in_group
             remaining -= in_group
         self.stats.frees += 1
@@ -404,8 +425,7 @@ class MultiBlockAllocator(BlockGroupAllocator):
             raise NoSpaceError(f"requested {count} blocks, {self.free_blocks} free")
 
         goal_group = self.group_of_block(goal_block) if goal_block is not None else 0
-        order = list(range(goal_group, self.group_count)) + list(range(0, goal_group))
-        for group_index in order:
+        for group_index in self._groups_from(goal_group):
             group = self._groups[group_index]
             if group.largest_run() < count:
                 continue
@@ -418,7 +438,7 @@ class MultiBlockAllocator(BlockGroupAllocator):
                 idx = group.find_first_fit(count)
             if idx is None:
                 continue
-            run = group.take_from_run(idx, count)
+            run = self._take(group, idx, count)
             self.stats.allocations += 1
             self.stats.blocks_allocated += count
             return [run]
@@ -463,6 +483,7 @@ class ExtentAllocator(FreeSpaceInspectionMixin):
             self._groups.append(FreeExtentMap(size, first_block=block))
             block += size
         self.group_count = len(self._groups)
+        self._free_blocks = sum(group.free_blocks for group in self._groups)
 
     def group_of_block(self, block: int) -> int:
         """Index of the allocation group containing ``block``."""
@@ -478,15 +499,14 @@ class ExtentAllocator(FreeSpaceInspectionMixin):
             raise NoSpaceError(f"requested {count} blocks, {self.free_blocks} free")
 
         goal_group = self.group_of_block(goal_block) if goal_block is not None else 0
-        order = list(range(goal_group, self.group_count)) + list(range(0, goal_group))
 
         capped = min(count, self.max_extent_blocks)
         # First pass: look for a group that can satisfy the request contiguously.
-        for group_index in order:
+        for group_index in self._groups_from(goal_group):
             group = self._groups[group_index]
             idx = group.find_first_fit(capped)
             if idx is not None:
-                run = group.take_from_run(idx, capped)
+                run = self._take(group, idx, capped)
                 runs = [run]
                 remaining = count - capped
                 if remaining:
@@ -499,17 +519,17 @@ class ExtentAllocator(FreeSpaceInspectionMixin):
         # Second pass: take the largest runs available until satisfied.
         runs = []
         remaining = count
-        for group_index in order:
+        for group_index in self._groups_from(goal_group):
             group = self._groups[group_index]
             while remaining > 0:
                 idx = group.find_best_fit(remaining)
                 if idx is None or group.free_blocks == 0:
                     break
-                available = group.runs()[idx][1]
+                available = group.run_length(idx)
                 if available == 0:
                     break
                 take = min(remaining, available, self.max_extent_blocks)
-                runs.append(group.take_from_run(idx, take))
+                runs.append(self._take(group, idx, take))
                 remaining -= take
             if remaining == 0:
                 break
@@ -527,7 +547,6 @@ class ExtentAllocator(FreeSpaceInspectionMixin):
         """Return a run to the appropriate allocation group."""
         if count <= 0:
             raise ValueError("count must be positive")
-        group = self._groups[self.group_of_block(start)]
-        group.release(start, count)
+        self._release(self._groups[self.group_of_block(start)], start, count)
         self.stats.frees += 1
         self.stats.blocks_freed += count

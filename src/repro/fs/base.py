@@ -13,6 +13,7 @@ import bisect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import MetricSource
@@ -100,12 +101,17 @@ class DirectoryEntry:
     inode_type: InodeType
 
 
+_extent_start = attrgetter("file_block")
+
+
 @dataclass
 class Inode:
     """An inode: metadata plus the extent map of a file or directory.
 
     The extent list is kept sorted by ``file_block``; :meth:`lookup_extent`
-    does a binary search over it.
+    bisects it in O(log n).  Change it only through :meth:`add_extent` and
+    :meth:`truncate_extents` (or pass ``extents=`` to the constructor): they
+    keep the block count that :meth:`blocks_allocated` returns in O(1).
     """
 
     number: int
@@ -121,10 +127,13 @@ class Inode:
     #: Symlink target (only for symlinks).
     symlink_target: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        self._blocks = sum(extent.count for extent in self.extents)
+
     # ------------------------------------------------------------- geometry
     def blocks_allocated(self) -> int:
         """Total number of device blocks backing this inode."""
-        return sum(extent.count for extent in self.extents)
+        return self._blocks
 
     def file_blocks(self, block_size: int) -> int:
         """Number of file blocks implied by the logical size."""
@@ -156,6 +165,7 @@ class Inode:
                     device_block=last.device_block,
                     count=last.count + extent.count,
                 )
+                self._blocks += extent.count
                 return
             if extent.file_block < last.file_end:
                 raise ValueError(
@@ -163,13 +173,11 @@ class Inode:
                     f"{last.file_end}"
                 )
         self.extents.append(extent)
+        self._blocks += extent.count
 
     def lookup_extent(self, file_block: int) -> Optional[Extent]:
         """Return the extent containing ``file_block`` or None if it is a hole."""
-        if not self.extents:
-            return None
-        starts = [extent.file_block for extent in self.extents]
-        idx = bisect.bisect_right(starts, file_block) - 1
+        idx = bisect.bisect_right(self.extents, file_block, key=_extent_start) - 1
         if idx < 0:
             return None
         extent = self.extents[idx]
@@ -203,8 +211,7 @@ class Inode:
             remaining -= run
 
     def _next_mapped_block(self, file_block: int) -> Optional[int]:
-        starts = [extent.file_block for extent in self.extents]
-        idx = bisect.bisect_left(starts, file_block)
+        idx = bisect.bisect_left(self.extents, file_block, key=_extent_start)
         if idx >= len(self.extents):
             return None
         return self.extents[idx].file_block
@@ -233,6 +240,7 @@ class Inode:
                     )
                 )
         self.extents = kept
+        self._blocks -= sum(extent.count for extent in freed)
         return freed
 
     @property

@@ -387,16 +387,20 @@ class PageCache:
         self.page_size = int(page_size)
         self.policy_name = CachePolicy(policy)
         self._policy = _make_policy(self.policy_name, max(1, capacity_pages))
-        self._resident: Set[PageKey] = set()
+        #: Resident page indexes by inode number; an inode with no resident
+        #: page has no entry, so one file's pages are found without a scan.
+        self._resident: Dict[int, Set[int]] = {}
+        # lint: ephemeral -- the number of pages in _resident, kept beside it
+        self._resident_count = 0
         self._dirty: Set[PageKey] = set()
         self.stats = CacheStats()
 
     # ------------------------------------------------------------ inspection
     def __len__(self) -> int:
-        return len(self._resident)
+        return self._resident_count
 
     def __contains__(self, key: PageKey) -> bool:
-        return key in self._resident
+        return key[1] in self._resident.get(key[0], ())
 
     @property
     def dirty_pages(self) -> int:
@@ -409,13 +413,21 @@ class PageCache:
         return self.capacity_pages * self.page_size
 
     def resident_pages_of(self, inode_number: int) -> int:
-        """Count resident pages belonging to ``inode_number`` (O(n); diagnostic use)."""
-        return sum(1 for ino, _ in self._resident if ino == inode_number)
+        """Count resident pages belonging to ``inode_number`` (O(1))."""
+        return len(self._resident.get(inode_number, ()))
+
+    def _remove_resident(self, key: PageKey) -> None:
+        ino, page = key
+        pages = self._resident[ino]
+        pages.remove(page)
+        if not pages:
+            del self._resident[ino]
+        self._resident_count -= 1
 
     # --------------------------------------------------------------- actions
     def lookup(self, key: PageKey) -> bool:
         """Return True on a cache hit and record the access."""
-        if key in self._resident:
+        if key[1] in self._resident.get(key[0], ()):
             self.stats.hits += 1
             self._policy.on_hit(key)
             return True
@@ -424,7 +436,7 @@ class PageCache:
 
     def peek(self, key: PageKey) -> bool:
         """Return residency without recording an access (no stats, no promotion)."""
-        return key in self._resident
+        return key[1] in self._resident.get(key[0], ())
 
     def insert(self, key: PageKey, dirty: bool = False) -> List[Tuple[PageKey, bool]]:
         """Insert a page, evicting as needed.
@@ -436,16 +448,17 @@ class PageCache:
         if self.capacity_pages == 0:
             return []
         evicted: List[Tuple[PageKey, bool]] = []
-        if key in self._resident:
+        ino, page = key
+        if page in self._resident.get(ino, ()):
             self._policy.on_hit(key)
             if dirty:
                 self._dirty.add(key)
             return evicted
 
-        while len(self._resident) >= self.capacity_pages:
+        while self._resident_count >= self.capacity_pages:
             victim = self._policy.select_victim()
             # The policy must only return resident pages; a desync here is a bug.
-            self._resident.remove(victim)
+            self._remove_resident(victim)
             was_dirty = victim in self._dirty
             if was_dirty:
                 self._dirty.remove(victim)
@@ -453,7 +466,13 @@ class PageCache:
             self.stats.evictions += 1
             evicted.append((victim, was_dirty))
 
-        self._resident.add(key)
+        # Looked up after evicting: an eviction may drop this inode's entry.
+        pages = self._resident.get(ino)
+        if pages is None:
+            self._resident[ino] = {page}
+        else:
+            pages.add(page)
+        self._resident_count += 1
         if dirty:
             self._dirty.add(key)
         self._policy.on_insert(key)
@@ -462,7 +481,7 @@ class PageCache:
 
     def mark_dirty(self, key: PageKey) -> None:
         """Mark a resident page dirty (no-op if the page is not resident)."""
-        if key in self._resident:
+        if key in self:
             self._dirty.add(key)
 
     def clean(self, key: PageKey) -> None:
@@ -480,9 +499,9 @@ class PageCache:
 
     def invalidate(self, key: PageKey) -> bool:
         """Drop a single page; returns True if it was resident."""
-        if key not in self._resident:
+        if key not in self:
             return False
-        self._resident.remove(key)
+        self._remove_resident(key)
         self._dirty.discard(key)
         self._policy.discard(key)
         self.stats.invalidations += 1
@@ -490,13 +509,14 @@ class PageCache:
 
     def invalidate_inode(self, inode_number: int) -> int:
         """Drop every page of one file; returns the number of pages dropped."""
-        victims = sorted(key for key in self._resident if key[0] == inode_number)
-        for key in victims:
-            self._resident.remove(key)
+        pages = self._resident.pop(inode_number, ())
+        for page in sorted(pages):
+            key = (inode_number, page)
             self._dirty.discard(key)
             self._policy.discard(key)
-        self.stats.invalidations += len(victims)
-        return len(victims)
+        self._resident_count -= len(pages)
+        self.stats.invalidations += len(pages)
+        return len(pages)
 
     def drop_caches(self) -> int:
         """Drop all clean *and* dirty pages (like ``echo 3 > drop_caches`` plus sync loss).
@@ -504,8 +524,9 @@ class PageCache:
         Returns the number of pages dropped.  Benchmark runners call this
         between repetitions to restore a cold cache.
         """
-        dropped = len(self._resident)
+        dropped = self._resident_count
         self._resident.clear()
+        self._resident_count = 0
         self._dirty.clear()
         self._policy.clear()
         return dropped
@@ -518,11 +539,11 @@ class PageCache:
         deterministically reconstructs the cache, including the eviction
         policy's bookkeeping (see :meth:`EvictionPolicy.resident_order`).
         """
-        order = self._policy.resident_order()
-        resident = [key for key in order if key in self._resident]
+        every = {(ino, page) for ino, pages in self._resident.items() for page in pages}
+        resident = [key for key in self._policy.resident_order() if key in every]
         # Residency is the cache's source of truth; anything a policy failed
         # to report is appended in sorted (still deterministic) order.
-        resident += sorted(self._resident.difference(resident))
+        resident += sorted(every.difference(resident))
         return resident, sorted(self._dirty)
 
     def restore_state(self, resident: List[PageKey], dirty: List[PageKey]) -> None:
@@ -544,9 +565,9 @@ class PageCache:
             raise ValueError("capacity_pages must be non-negative")
         self.capacity_pages = int(capacity_pages)
         evicted: List[Tuple[PageKey, bool]] = []
-        while len(self._resident) > self.capacity_pages:
+        while self._resident_count > self.capacity_pages:
             victim = self._policy.select_victim()
-            self._resident.remove(victim)
+            self._remove_resident(victim)
             was_dirty = victim in self._dirty
             self._dirty.discard(victim)
             self.stats.evictions += 1
@@ -559,7 +580,7 @@ class PageCache:
         mb = self.capacity_bytes / (1024 * 1024)
         return (
             f"PageCache({self.policy_name.value}, {mb:.0f}MiB, "
-            f"{len(self._resident)}/{self.capacity_pages} pages)"
+            f"{self._resident_count}/{self.capacity_pages} pages)"
         )
 
 

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,8 +10,8 @@ from repro.core.histogram import from_latencies
 from repro.core.stats import confidence_interval, fragility_index, summarize
 from repro.core.steady_state import detect_steady_state
 from repro.core.timeline import IntervalSeries
-from repro.fs.allocation import BlockGroupAllocator, ExtentAllocator
-from repro.fs.base import Extent, Inode, InodeType
+from repro.fs.allocation import BlockGroupAllocator, ExtentAllocator, MultiBlockAllocator
+from repro.fs.base import Extent, Inode, InodeType, NoSpaceError
 from repro.storage.cache import CachePolicy, PageCache
 from repro.storage.readahead import DEFAULT_READAHEAD, ReadaheadState
 
@@ -18,14 +19,58 @@ from repro.storage.readahead import DEFAULT_READAHEAD, ReadaheadState
 # Page cache invariants
 # ---------------------------------------------------------------------------
 
+INODES = range(4)
+
+# Whole-cache ops appear once, page ops several times, so caches still fill.
 cache_ops = st.lists(
     st.tuples(
-        st.sampled_from(["insert", "lookup", "dirty_insert", "invalidate"]),
-        st.integers(min_value=0, max_value=3),   # inode
-        st.integers(min_value=0, max_value=200),  # page
+        st.sampled_from(
+            ["insert", "insert", "dirty_insert", "dirty_insert", "lookup", "lookup", "invalidate",
+             "invalidate_inode", "drop_caches", "resize", "restore"]
+        ),
+        st.sampled_from(INODES),
+        st.integers(min_value=0, max_value=200),  # page; for resize, the new capacity
     ),
     max_size=300,
 )
+
+
+def apply_cache_op(cache, resident, op, inode, page):
+    """Apply one op to ``cache`` and to ``resident``, a plain-set oracle.
+
+    Every return value is checked against the oracle.  Returns the cache,
+    which ``restore`` replaces with a fresh one rebuilt from the export.
+    """
+    key = (inode, page)
+    if op in ("insert", "dirty_insert"):
+        for victim, _ in cache.insert(key, dirty=(op == "dirty_insert")):
+            assert victim in resident and victim != key
+            resident.discard(victim)
+        if cache.capacity_pages:
+            resident.add(key)
+    elif op == "lookup":
+        assert cache.lookup(key) == (key in resident)
+    elif op == "invalidate":
+        assert cache.invalidate(key) == (key in resident)
+        resident.discard(key)
+    elif op == "invalidate_inode":
+        dropped = {k for k in resident if k[0] == inode}
+        assert cache.invalidate_inode(inode) == len(dropped)
+        resident -= dropped
+    elif op == "drop_caches":
+        assert cache.drop_caches() == len(resident)
+        resident.clear()
+    elif op == "resize":
+        for victim, _ in cache.resize(page % 40):
+            assert victim in resident
+            resident.discard(victim)
+    else:
+        exported, dirty = cache.export_state()
+        assert len(exported) == len(set(exported)) and set(exported) == resident
+        cache = PageCache(capacity_pages=cache.capacity_pages, policy=cache.policy_name)
+        cache.restore_state(exported, dirty)
+        assert cache.dirty_keys() == dirty
+    return cache
 
 
 @given(ops=cache_ops, capacity=st.integers(min_value=1, max_value=32),
@@ -33,17 +78,10 @@ cache_ops = st.lists(
 @settings(max_examples=60, deadline=None)
 def test_cache_never_exceeds_capacity_and_dirty_subset_of_resident(ops, capacity, policy):
     cache = PageCache(capacity_pages=capacity, policy=policy)
+    resident = set()
     for op, inode, page in ops:
-        key = (inode, page)
-        if op == "insert":
-            cache.insert(key)
-        elif op == "dirty_insert":
-            cache.insert(key, dirty=True)
-        elif op == "lookup":
-            cache.lookup(key)
-        else:
-            cache.invalidate(key)
-        assert len(cache) <= capacity
+        cache = apply_cache_op(cache, resident, op, inode, page)
+        assert len(cache) <= cache.capacity_pages
         assert cache.dirty_pages <= len(cache)
         for dirty_key in cache.dirty_keys():
             assert cache.peek(dirty_key)
@@ -54,16 +92,29 @@ def test_cache_never_exceeds_capacity_and_dirty_subset_of_resident(ops, capacity
 @settings(max_examples=40, deadline=None)
 def test_cache_insert_makes_key_resident(ops, capacity, policy):
     cache = PageCache(capacity_pages=capacity, policy=policy)
+    resident = set()
     for op, inode, page in ops:
-        key = (inode, page)
+        cache = apply_cache_op(cache, resident, op, inode, page)
         if op in ("insert", "dirty_insert"):
-            cache.insert(key, dirty=(op == "dirty_insert"))
-            assert cache.peek(key)
-        elif op == "lookup":
-            cache.lookup(key)
-        else:
-            cache.invalidate(key)
-            assert not cache.peek(key)
+            assert cache.peek((inode, page)) == (cache.capacity_pages > 0)
+        elif op == "invalidate":
+            assert not cache.peek((inode, page))
+        elif op == "invalidate_inode":
+            assert cache.resident_pages_of(inode) == 0
+
+
+@given(ops=cache_ops, capacity=st.integers(min_value=1, max_value=32),
+       policy=st.sampled_from(list(CachePolicy)))
+@settings(max_examples=60, deadline=None)
+def test_cache_residency_index_matches_plain_set_oracle(ops, capacity, policy):
+    cache = PageCache(capacity_pages=capacity, policy=policy)
+    resident = set()
+    for op, inode, page in ops:
+        cache = apply_cache_op(cache, resident, op, inode, page)
+        assert len(cache) == len(resident)
+        for ino in INODES:
+            assert cache.resident_pages_of(ino) == sum(1 for k in resident if k[0] == ino)
+        assert all(cache.peek(key) for key in resident)
 
 
 @given(accesses=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=400),
@@ -123,6 +174,47 @@ def test_extent_allocator_conserves_blocks(sizes):
     assert allocator.free_blocks == initial_free
 
 
+ALLOCATORS = {
+    "block-group": lambda: BlockGroupAllocator(total_blocks=200_000, blocks_per_group=16_384),
+    "multi-block": lambda: MultiBlockAllocator(total_blocks=200_000, blocks_per_group=16_384),
+    "extent": lambda: ExtentAllocator(total_blocks=200_000, allocation_groups=4),
+}
+
+allocator_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("allocate"), st.integers(min_value=1, max_value=20_000)),
+        st.tuples(st.just("free"), st.integers(min_value=0, max_value=1000)),  # which held run
+        st.tuples(st.just("restore"), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+@given(kind=st.sampled_from(sorted(ALLOCATORS)), ops=allocator_ops)
+@settings(max_examples=60, deadline=None)
+def test_allocator_free_count_matches_free_runs(kind, ops):
+    allocator = ALLOCATORS[kind]()
+    initial_free = allocator.free_blocks
+    held = []
+    for op, arg in ops:
+        if op == "allocate":
+            if arg > allocator.free_blocks:
+                with pytest.raises(NoSpaceError):
+                    allocator.allocate(arg)
+            else:
+                held.extend(allocator.allocate(arg))
+        elif op == "free" and held:
+            allocator.free(*held.pop(arg % len(held)))
+        elif op == "restore":
+            state = allocator.export_free_state()
+            allocator = ALLOCATORS[kind]()
+            allocator.restore_free_state(state)
+            assert allocator.export_free_state() == state
+        free_runs = allocator.export_free_state()
+        assert allocator.free_blocks == sum(count for group in free_runs for _, count in group)
+        assert allocator.free_blocks == initial_free - sum(count for _, count in held)
+
+
 # ---------------------------------------------------------------------------
 # Inode extent-map invariants
 # ---------------------------------------------------------------------------
@@ -149,6 +241,42 @@ def test_inode_mapping_covers_every_mapped_block(run_lengths, gap):
         extent = inode.lookup_extent(block)
         assert extent is not None
         assert extent.file_block <= block < extent.file_end
+
+
+extent_map_ops = st.lists(
+    st.one_of(
+        # (hole before the extent, its length, physical gap after the previous one)
+        st.tuples(st.just("add"), st.integers(0, 8), st.integers(1, 64), st.integers(0, 2)),
+        st.tuples(st.just("truncate"), st.integers(0, 2000), st.just(0), st.just(0)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(ops=extent_map_ops)
+@settings(max_examples=60, deadline=None)
+def test_inode_block_count_and_lookup_match_linear_scan(ops):
+    inode = Inode(number=1, inode_type=InodeType.REGULAR)
+    device_block = 1000
+    for op, hole_or_keep, length, gap in ops:
+        if op == "add":
+            file_block = (inode.extents[-1].file_end if inode.extents else 0) + hole_or_keep
+            device_block += gap
+            inode.add_extent(Extent(file_block, device_block, length))
+            device_block += length
+        else:
+            inode.truncate_extents(hole_or_keep)
+        assert inode.blocks_allocated() == sum(extent.count for extent in inode.extents)
+    end = inode.extents[-1].file_end if inode.extents else 0
+    for block in range(end + 2):
+        linear = next((e for e in inode.extents if e.file_block <= block < e.file_end), None)
+        assert inode.lookup_extent(block) == linear
+    if end:
+        covered = sum(count for _, count in inode.iter_device_runs(0, end + 2))
+        assert covered == inode.blocks_allocated()
+    rebuilt = Inode(number=1, inode_type=InodeType.REGULAR, extents=list(inode.extents))
+    assert rebuilt.blocks_allocated() == inode.blocks_allocated()
 
 
 # ---------------------------------------------------------------------------
