@@ -9,9 +9,11 @@ while cutting simulated operation counts by an order of magnitude.
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.parallel import ParallelExecutor
 from repro.core.runner import BenchmarkConfig, EnvironmentNoise, WarmupMode
 from repro.fs.stack import build_stack
 from repro.storage.config import paper_testbed, scaled_testbed
@@ -85,3 +87,28 @@ def no_noise_config():
         seed=11,
         noise=EnvironmentNoise(enabled=False),
     )
+
+
+@pytest.fixture
+def scan_keys():
+    """``scan_keys(units, executor=None)``: the keys a ``run_units`` scan
+    computes, in unit order.
+
+    The executor's cache is replaced by one whose every lookup hits, so the
+    scan executes nothing and records exactly the keys it asked for.
+    """
+
+    def scan(units, executor=None):
+        keys = []
+
+        class EveryLookupHits:
+            def lookup(self, key):
+                keys.append(key)
+                return SimpleNamespace(), "loose"
+
+        executor = executor or ParallelExecutor()
+        executor.cache = EveryLookupHits()
+        executor.run_units(units)
+        return keys
+
+    return scan
