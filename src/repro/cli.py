@@ -954,14 +954,18 @@ def _run_explain(args) -> int:
         except (StoreError, OSError) as error:
             print(f"fsbench-rocket: error: {error}", file=sys.stderr)
             return 2
-    reference = cache.get(key) if cache is not None else None
-    if reference is None:
-        logger.info("cell %s not cached; measuring the reference now", cell.label)
-        reference = execute_unit(unit)
+    try:
+        reference = cache.get(key) if cache is not None else None
+        if reference is None:
+            logger.info("cell %s not cached; measuring the reference now", cell.label)
+            reference = execute_unit(unit)
+            if cache is not None:
+                cache.put(key, reference)
+        else:
+            logger.info("explaining cached cell %s", cell.label)
+    finally:
         if cache is not None:
-            cache.put(key, reference)
-    else:
-        logger.info("explaining cached cell %s", cell.label)
+            cache.close()
     traced = run_unit_traced(unit)
     if not payloads_match(reference, traced):
         print(

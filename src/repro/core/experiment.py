@@ -567,7 +567,9 @@ class Experiment:
         """Execute the grid and assemble the tidy result frame.
 
         ``executor`` overrides the experiment's own executor (for sharing a
-        pool/cache across experiments).  ``on_unit(unit, run, cached)`` fires
+        pool/cache across experiments).  ``run`` closes the cache of an
+        executor it built itself when it returns; a caller's executor keeps
+        its cache open for the next run.  ``on_unit(unit, run, cached)`` fires
         as each repetition completes (cache hits first, then fresh results in
         completion order) and ``on_cell(cell, repetitions)`` as the last
         repetition of each cell lands -- streaming progress without touching
@@ -584,6 +586,7 @@ class Experiment:
         """
         cells = self.cells()
         units: List[WorkUnit] = [unit for cell in cells for unit in cell.work_units()]
+        owned = executor is None
         executor = executor if executor is not None else self.make_executor()
 
         remaining = {cell.label: len(cell.seeds) for cell in cells}
@@ -601,7 +604,11 @@ class Experiment:
                 on_cell(cell_by_label[label], RepetitionSet(label=label, runs=ordered))
 
         observe = _observe if (on_unit or on_cell) else None
-        runs = executor.run_units(units, on_result=observe)
+        try:
+            runs = executor.run_units(units, on_result=observe)
+        finally:
+            if owned and executor.cache is not None:
+                executor.cache.close()
 
         sets: Dict[str, RepetitionSet] = {}
         for unit, run in zip(units, runs):

@@ -59,6 +59,12 @@ CACHE_FORMAT_VERSION = 2
 
 
 # ------------------------------------------------------------------ hashing
+#: Exact types whose canonical form is the value itself.  Their subclasses
+#: (a ``str``-valued enum, say) take the full branch order of
+#: :func:`_canonical`.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
 def _canonical(value):
     """Reduce a config object to a JSON-stable structure for hashing.
 
@@ -66,11 +72,18 @@ def _canonical(value):
     dictionaries, enums their values, containers their canonicalised
     elements.  Two configurations hash equal iff this structure is equal, so
     anything that can change a measurement must surface here; unknown objects
-    fall back to ``repr`` rather than being silently dropped.
+    fall back to ``repr`` rather than being silently dropped.  An exact plain
+    value, and a plain item of a list, tuple or dataclass, is its own form
+    and costs no recursive call.
     """
+    if type(value) in _PLAIN:
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {f.name: _canonical(getattr(value, f.name)) for f in dataclasses.fields(value)}
-        return {"__kind__": type(value).__name__, **fields}
+        fields = {"__kind__": type(value).__name__}
+        for field in dataclasses.fields(value):
+            item = getattr(value, field.name)
+            fields[field.name] = item if type(item) in _PLAIN else _canonical(item)
+        return fields
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, dict):
@@ -85,13 +98,44 @@ def _canonical(value):
             )
         }
     if isinstance(value, (list, tuple)):
-        return [_canonical(item) for item in value]
-    if value is None or isinstance(value, (str, int, float, bool)):
+        return [item if type(item) in _PLAIN else _canonical(item) for item in value]
+    if isinstance(value, (str, int, float)):  # their subclasses; bool has none
         return value
     if hasattr(value, "__dict__"):
         fields = {key: _canonical(item) for key, item in sorted(vars(value).items())}
         return {"__kind__": type(value).__name__, **fields}
     return repr(value)
+
+
+class _KeyScan:
+    """The spec and testbed forms that one key scan reuses.
+
+    A cell's units come one after another and share their spec and testbed
+    objects (:meth:`~repro.core.experiment.ExperimentCell.work_units`,
+    :func:`benchmark_units`), so the scan keeps the spec and the testbed it
+    canonicalised last and reuses a form while the next unit passes that
+    very object.  The test is ``is``: lint rule DET004 bans ``id()``, and
+    equal objects need not share a form (``1 == 1.0``, yet they encode
+    differently).  Holding the object keeps it alive, so no newcomer can
+    take its identity.  Nothing mutates a spec or testbed during a scan, but
+    a caller may between scans, so :meth:`ParallelExecutor.run_units`
+    creates one per call and drops it on return.
+    """
+
+    def __init__(self) -> None:
+        self._spec: Optional[Tuple[WorkloadSpec, object]] = None
+        self._testbed: Optional[Tuple[Optional[TestbedConfig], object]] = None
+
+    def forms(
+        self, spec: WorkloadSpec, testbed: Optional[TestbedConfig]
+    ) -> Tuple[object, object]:
+        """Canonical ``(spec, testbed)``; ``testbed=None`` is the paper's."""
+        if self._spec is None or self._spec[0] is not spec:
+            self._spec = (spec, _canonical(spec))
+        if self._testbed is None or self._testbed[0] is not testbed:
+            resolved = testbed if testbed is not None else paper_testbed()
+            self._testbed = (testbed, _canonical(resolved))
+        return self._spec[1], self._testbed[1]
 
 
 def cache_key(
@@ -101,6 +145,7 @@ def cache_key(
     seed: int,
     testbed: Optional[TestbedConfig] = None,
     snapshot_fingerprint: Optional[str] = None,
+    scan: Optional[_KeyScan] = None,
 ) -> str:
     """Stable identity of one measured repetition.
 
@@ -130,7 +175,15 @@ def cache_key(
     tracing is observability, not physics (the measurement is bit-identical
     with it on or off -- see :mod:`repro.obs`), so a traced run and an
     untraced run are the *same* measurement and must share a cache entry.
+
+    A key costs one canonicalisation each of the spec, the testbed and the
+    config, one JSON encoding and one SHA-256.  ``scan`` is the reuse state
+    of a :meth:`ParallelExecutor.run_units` key scan: with it the spec and
+    testbed forms of the previous key are reused when this call passes the
+    very same objects (see :class:`_KeyScan`).  The key is the same either
+    way.
     """
+    spec_payload, testbed_payload = (scan or _KeyScan()).forms(spec, testbed)
     config_payload = _canonical(replace(config, seed=0, repetitions=1))
     clients = int(getattr(config, "clients", 1) or 1)
     if isinstance(config_payload, dict):
@@ -139,8 +192,8 @@ def cache_key(
     payload = {
         "cache_format": CACHE_FORMAT_VERSION,
         "fs_type": fs_type,
-        "spec": _canonical(spec),
-        "testbed": _canonical(testbed if testbed is not None else paper_testbed()),
+        "spec": spec_payload,
+        "testbed": testbed_payload,
         "config": config_payload,
         "seed": int(seed),
     }
@@ -198,8 +251,8 @@ class WorkUnit:
         """The effective seed the runner will use for this repetition."""
         return self.config.seed + self.repetition
 
-    def key(self) -> str:
-        """Cache key of this unit (see :func:`cache_key`)."""
+    def key(self, scan: Optional[_KeyScan] = None) -> str:
+        """Cache key of this unit (see :func:`cache_key`, which takes ``scan``)."""
         fingerprint = self.snapshot_fingerprint
         if fingerprint is None and self.snapshot_path is not None:
             # Imported lazily: the aging subsystem sits above the core layer.
@@ -213,6 +266,7 @@ class WorkUnit:
             self.seed,
             self.testbed,
             snapshot_fingerprint=fingerprint,
+            scan=scan,
         )
 
 
@@ -322,7 +376,9 @@ class ResultCache:
     rather than degrading to a miss, because a pack is a distributed,
     fingerprinted artifact whose damage should stop the presses, not
     silently re-measure.  ``cache_dir=None`` with packs gives a pure
-    read-only cache (``put`` discards, ``clear`` removes nothing).
+    read-only cache (``put`` discards, ``clear`` removes nothing).  Each
+    pack stays open until :meth:`close`, which whoever built the cache
+    calls.
     """
 
     def __init__(
@@ -339,7 +395,17 @@ class ResultCache:
             # Imported lazily: repro.store sits above the core layer.
             from repro.store.reader import PackReader
 
-            self._packs = [PackReader(path) for path in pack_paths]
+            try:
+                for path in pack_paths:
+                    self._packs.append(PackReader(path))
+            except BaseException:
+                self.close()
+                raise
+
+    def close(self) -> None:
+        """Close the attached pack readers.  Idempotent; ``stats`` stays readable."""
+        for pack in self._packs:
+            pack.close()
 
     @property
     def pack_paths(self) -> List[str]:
@@ -536,6 +602,12 @@ class ParallelExecutor:
         observe a unit whose event log is already terminal.  A unit that
         raises emits a ``failed`` event first and then propagates the
         exception unchanged.
+
+        The key scan computes one key per unit (with a cache or a sink
+        attached), in unit order.  Consecutive units that share a spec or
+        testbed object canonicalise it once (see :class:`_KeyScan`); the
+        reuse state lives for this call only, so a spec mutated between
+        calls is canonicalised afresh.
         """
         units = list(units)
         results: List[Optional[RunResult]] = [None] * len(units)
@@ -543,9 +615,10 @@ class ParallelExecutor:
 
         pending: List[int] = []
         keys: Dict[int, str] = {}
+        scan = _KeyScan()
         for index, unit in enumerate(units):
             if self.cache is not None or sink is not None:
-                keys[index] = unit.key()
+                keys[index] = unit.key(scan)
             if sink is not None:
                 sink.emit(_unit_event("queued", unit, keys[index]))
             if self.cache is not None:

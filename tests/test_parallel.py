@@ -221,6 +221,53 @@ class TestCacheKey:
         # Same content, different insertion order: identical canonical form.
         assert _canonical({"b": 1, "a": 2}) == _canonical({"a": 2, "b": 1})
 
+    # A run_units key scan reuses the canonical spec and testbed of the
+    # previous unit when it passes the very same object.  These cases would
+    # break a reuse that outlived the scan, matched by equality, or matched
+    # without checking the object at all.
+    @staticmethod
+    def fresh_keys(units):
+        return [cache_key(u.fs_type, u.spec, u.config, u.seed, u.testbed) for u in units]
+
+    def test_scan_keys_of_interleaved_cells_are_fresh_keys(self, testbed, nano, scan_keys):
+        cell_a = benchmark_units(nano, "ext2", testbed=testbed)
+        other = replace(nano, workload_factory=lambda: random_read_workload(4 * MiB))
+        cell_b = benchmark_units(other, "ext2", testbed=scaled_testbed(1.0 / 8.0))
+        units = [cell_a[0], cell_b[0], cell_a[1]]
+        keys = scan_keys(units)
+        assert keys == self.fresh_keys(units)
+        assert len(set(keys)) == 3
+
+    def test_spec_mutated_between_scans_gets_a_fresh_key(self, testbed, nano, scan_keys):
+        executor = ParallelExecutor()
+        units = benchmark_units(nano, "ext2", testbed=testbed)
+        before = scan_keys(units, executor)
+        units[0].spec.threads += 1  # every unit of the cell shares the spec
+        after = scan_keys(units, executor)
+        assert after == self.fresh_keys(units)
+        assert set(after).isdisjoint(before)
+
+    @pytest.mark.parametrize("field", ["config", "spec", "testbed"])
+    def test_equal_inputs_that_encode_differently_keep_their_keys(
+        self, testbed, scan_keys, field
+    ):
+        # 1 == 1.0, but the two encode differently, so their keys differ.
+        spec = random_read_workload(MiB)
+        pairs = {
+            "config": (quick_config(duration_s=1), quick_config(duration_s=1.0)),
+            "spec": (replace(spec, op_overhead_ns=1), replace(spec, op_overhead_ns=1.0)),
+            "testbed": (
+                replace(testbed, ram_bytes=32 * MiB),
+                replace(testbed, ram_bytes=32.0 * MiB),
+            ),
+        }
+        base = WorkUnit("ext2", spec, quick_config(), testbed=testbed)
+        units = [replace(base, **{field: value}) for value in pairs[field]]
+        assert getattr(units[0], field) == getattr(units[1], field)
+        keys = scan_keys(units)
+        assert keys == self.fresh_keys(units)
+        assert keys[0] != keys[1]
+
     def test_cache_format_version_bumped_for_canonical_change(self):
         from repro.core.parallel import CACHE_FORMAT_VERSION
 

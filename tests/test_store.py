@@ -18,17 +18,20 @@ Four layers of guarantees:
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
 import random
+import warnings
 
 import pytest
 
 from repro.cli import main
 from repro.core.experiment import Experiment, ParameterGrid
-from repro.core.parallel import ResultCache
+from repro.core.parallel import ParallelExecutor, ResultCache
 from repro.core.runner import BenchmarkConfig, WarmupMode
 from repro.store import format as fmt
 from repro.store.format import StoreConflictError, StoreCorruptionError, StoreError
@@ -329,6 +332,41 @@ def frame_lines(frame) -> list:
     return sorted(buffer.getvalue().splitlines())
 
 
+@contextlib.contextmanager
+def resource_warnings():
+    """Collect the messages of the ResourceWarnings raised in the block.
+
+    A leaked file warns from its finalizer, where an "error" filter only
+    reports the exception instead of raising it, so the warnings are
+    recorded and the caller asserts on them.
+    """
+    leaks: list = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield leaks
+        gc.collect()
+    leaks.extend(str(w.message) for w in caught if w.category is ResourceWarning)
+
+
+def one_record_blocks(campaign, name: str) -> str:
+    """Pack the campaign one record per block.  Every lookup after the
+    first then reads the file, so a closed reader cannot answer from its
+    cached block."""
+    pack_path = str(campaign["root"] / name)
+    pack_result_cache(campaign["cache_dir"], pack_path, block_records=1)
+    return pack_path
+
+
+def replay_experiment(pack_path: str) -> Experiment:
+    return Experiment(
+        ParameterGrid(GRID),
+        name="campaign",
+        config=quick_config(),
+        testbed=scaled_testbed(1.0 / 16.0),
+        pack_paths=(pack_path,),
+    )
+
+
 @pytest.fixture(scope="module")
 def campaign(tmp_path_factory):
     """One cached campaign run shared by the round-trip tests below."""
@@ -421,6 +459,36 @@ class TestCampaignRoundTrip:
         assert cache.stats.stores == 0
         assert len(cache) == 0
         assert cache.clear() == 0
+        cache.close()
+        cache.close()  # idempotent, and the stats stay readable
+        assert cache.stats.hits == 1
+
+    def test_pack_replay_closes_its_pack(self, campaign):
+        experiment = replay_experiment(one_record_blocks(campaign, "closed.frpack"))
+        with resource_warnings() as leaks:
+            replay = experiment.run()
+        assert replay.cache_stats.pack_hits == 4
+        assert leaks == []
+
+    def test_run_leaves_a_caller_supplied_cache_open(self, campaign):
+        pack_path = one_record_blocks(campaign, "shared.frpack")
+        experiment = replay_experiment(pack_path)
+        cache = ResultCache(pack_paths=(pack_path,))
+        executor = ParallelExecutor(cache=cache)
+        try:
+            first = experiment.run(executor=executor)
+            second = experiment.run(executor=executor)
+        finally:
+            cache.close()
+        assert cache.stats.pack_hits == 8
+        assert frame_lines(second.frame) == frame_lines(first.frame)
+
+    def test_a_pack_that_fails_to_open_closes_the_packs_before_it(self, campaign, tmp_path):
+        pack_path = one_record_blocks(campaign, "first.frpack")
+        with resource_warnings() as leaks:
+            with pytest.raises(FileNotFoundError):
+                ResultCache(pack_paths=(pack_path, str(tmp_path / "missing.frpack")))
+        assert leaks == []
 
     def test_merge_conflict_is_fatal(self, tmp_path):
         key = key_of(0)
@@ -483,7 +551,8 @@ class TestStoreCli:
             == 0
         )
         capsys.readouterr()
-        rows = [json.loads(line) for line in open(frame_path)]
+        with open(frame_path) as handle:
+            rows = [json.loads(line) for line in handle]
         assert rows and all(row["fs"] == "ext4" for row in rows)
 
         # export --runs is re-packable into a byte-identical artifact

@@ -191,6 +191,7 @@ class TestEventLifecycle:
         assert "cache-hit" not in sink.counts
         assert cache.stats.pack_hits == 2
         assert cache.stats.blocks_read > 0
+        cache.close()
 
     def test_failed_unit_emits_terminal_event_then_raises(self, tmp_path):
         path = str(tmp_path / "telemetry.jsonl")
@@ -429,7 +430,8 @@ class TestBenchJson:
         path = str(tmp_path / "bench.json")
         dump_bench_json(stats, path)
         assert load_bench_json(path) == stats
-        document = json.load(open(path))
+        with open(path) as handle:
+            document = json.load(handle)
         assert document["schema"] == "fsbench-bench/1"
         assert normalize(document) == stats
 
@@ -454,12 +456,14 @@ class TestBenchJson:
             },
         }
         path = str(tmp_path / "bench.json")
-        json.dump(document, open(path, "w"))
+        with open(path, "w") as handle:
+            json.dump(document, handle)
         assert list(load_bench_json(path)) == ["norm_one"]
 
     def test_rejects_non_bench_documents(self, tmp_path):
         path = str(tmp_path / "bad.json")
-        json.dump({"something": 1}, open(path, "w"))
+        with open(path, "w") as handle:
+            json.dump({"something": 1}, handle)
         with pytest.raises(ValueError):
             load_bench_json(path)
 
