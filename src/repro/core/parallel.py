@@ -114,12 +114,9 @@ class _KeyScan:
     objects (:meth:`~repro.core.experiment.ExperimentCell.work_units`,
     :func:`benchmark_units`), so the scan keeps the spec and the testbed it
     canonicalised last and reuses a form while the next unit passes that
-    very object.  The test is ``is``: lint rule DET004 bans ``id()``, and
-    equal objects need not share a form (``1 == 1.0``, yet they encode
-    differently).  Holding the object keeps it alive, so no newcomer can
-    take its identity.  Nothing mutates a spec or testbed during a scan, but
-    a caller may between scans, so :meth:`ParallelExecutor.run_units`
-    creates one per call and drops it on return.
+    very object.  Identity, not equality: ``1 == 1.0``, yet they encode
+    differently, and lint rule DET004 bans ``id()``.  Holding the object
+    keeps its identity from passing to a newcomer.
     """
 
     def __init__(self) -> None:
