@@ -288,14 +288,12 @@ class OperationCost:
     dirty_page_keys:
         Page-cache keys that the operation made dirty (data and metadata
         writes -- these are written back later, asynchronously).
-    cache_fill_keys:
-        Page-cache keys that should be inserted clean as a result of the
-        operation (e.g. cluster reads bringing neighbouring pages in).
     metadata_reads:
-        ``(page_key, request)`` pairs for metadata the operation needs: the
-        VFS performs the device read only when the key misses the page cache
-        and inserts it afterwards.  This is how metadata caching (and the
-        paper's observation that meta-data benchmarks silently become caching
+        ``(page_key, device_block)`` pairs for the metadata blocks the
+        operation needs, in order: only when a key misses the page cache does
+        the VFS build and submit a one-block read of ``device_block``, then
+        insert the key.  This is how metadata caching (and the paper's
+        observation that meta-data benchmarks silently become caching
         benchmarks) is modelled.
     discard_requests:
         Discard (TRIM) requests for device extents the operation freed
@@ -308,23 +306,26 @@ class OperationCost:
     cpu_ns: float = 0.0
     device_requests: List[IORequest] = field(default_factory=list)
     dirty_page_keys: List[Tuple[int, int]] = field(default_factory=list)
-    cache_fill_keys: List[Tuple[int, int]] = field(default_factory=list)
-    metadata_reads: List[Tuple[Tuple[int, int], IORequest]] = field(default_factory=list)
+    metadata_reads: List[Tuple[Tuple[int, int], int]] = field(default_factory=list)
     discard_requests: List[IORequest] = field(default_factory=list)
     #: Number of device cache flushes (write barriers) the operation requires.
     flushes: int = 0
 
     def merge(self, other: "OperationCost") -> "OperationCost":
-        """Combine two costs into a new one (used by composite operations)."""
-        return OperationCost(
-            cpu_ns=self.cpu_ns + other.cpu_ns,
-            device_requests=self.device_requests + other.device_requests,
-            dirty_page_keys=self.dirty_page_keys + other.dirty_page_keys,
-            cache_fill_keys=self.cache_fill_keys + other.cache_fill_keys,
-            metadata_reads=self.metadata_reads + other.metadata_reads,
-            discard_requests=self.discard_requests + other.discard_requests,
-            flushes=self.flushes + other.flushes,
-        )
+        """Append ``other`` to this cost in place and return this cost.
+
+        Composite operations rebind (``cost = cost.merge(part)``).  Each list
+        grows by ``other``'s items after its own; ``cpu_ns`` and ``flushes``
+        are summed; ``other`` is left unchanged.  Every cost owns its lists,
+        so no other holder sees the extension.
+        """
+        self.cpu_ns += other.cpu_ns
+        self.device_requests += other.device_requests
+        self.dirty_page_keys += other.dirty_page_keys
+        self.metadata_reads += other.metadata_reads
+        self.discard_requests += other.discard_requests
+        self.flushes += other.flushes
+        return self
 
 
 class FileSystem(ABC):

@@ -10,7 +10,7 @@ delalloc write path shared by the XFS and Ext4 models.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.fs.base import (
     DirectoryEntry,
@@ -119,16 +119,6 @@ class UnixFileSystemBase(FileSystem):
 
     def _dir_block_count(self, directory: Inode) -> int:
         return max(1, -(-len(directory.entries) // self._ENTRIES_PER_DIR_BLOCK))
-
-    def _dir_block_request(self, directory: Inode, block_index: int) -> Optional[IORequest]:
-        extent = directory.lookup_extent(block_index)
-        if extent is None:
-            return None
-        return IORequest(
-            offset_bytes=extent.device_block_for(block_index) * self.block_size,
-            nbytes=self.block_size,
-            is_write=False,
-        )
 
     # ------------------------------------------------------------ cpu helpers
     def _cpu(self, base_ns: float) -> float:
@@ -469,23 +459,22 @@ class UnixFileSystemBase(FileSystem):
         cost = OperationCost()
         components = [c for c in path.split("/") if c]
         current = self._root
+        reads = cost.metadata_reads
         for component in components:
             cost.cpu_ns += self._dirent_lookup_cpu(current)
-            cost.metadata_reads.append(
-                (self._inode_table_key(current.number), self._inode_table_request(current.number))
-            )
-            request = self._dir_block_request(current, 0)
-            if request is not None:
-                cost.metadata_reads.append((self._dir_block_key(current, 0), request))
+            block = self._inode_table_block(current.number)
+            reads.append(((INODE_TABLE_PSEUDO_INO, block), block))
+            extent = current.lookup_extent(0)
+            if extent is not None:
+                reads.append((self._dir_block_key(current, 0), extent.device_block_for(0)))
             entry = current.entries.get(component)
             if entry is None:
                 break
             nxt = self._inodes.get(entry.inode_number)
             if nxt is None:
                 break
-            cost.metadata_reads.append(
-                (self._inode_table_key(nxt.number), self._inode_table_request(nxt.number))
-            )
+            block = self._inode_table_block(nxt.number)
+            reads.append(((INODE_TABLE_PSEUDO_INO, block), block))
             if not nxt.is_directory:
                 break
             current = nxt

@@ -153,7 +153,7 @@ class VFS:
         self._open_files: Dict[int, OpenFile] = {}
         self._next_fd = 3
         self._device_busy_until_ns = 0.0
-        #: Map from pseudo-metadata page keys to device offsets for writeback.
+        #: Most dirty pages one throttling pass writes back.
         self._writeback_batch_pages = 512
 
     # ------------------------------------------------------------------ CPU
@@ -482,16 +482,18 @@ class VFS:
     def _apply_cost(self, cost: OperationCost) -> float:
         """Execute an :class:`OperationCost`; returns the latency incurred."""
         latency = self._cpu_ns(cost.cpu_ns) if cost.cpu_ns else 0.0
-        for key, request in cost.metadata_reads:
-            if not self.cache.lookup(key):
-                latency += self._device_wait_and_service([request])
-                for victim, was_dirty in self.cache.insert(key):
+        cache = self.cache
+        for key, block in cost.metadata_reads:
+            if not cache.lookup(key):
+                block_size = self.fs.block_size
+                latency += self._device_wait_and_service(
+                    [IORequest(offset_bytes=block * block_size, nbytes=block_size)]
+                )
+                for victim, was_dirty in cache.insert(key):
                     if was_dirty:
                         latency += self._writeback_keys([victim], synchronous=True)
-        for key in cost.cache_fill_keys:
-            self.cache.insert(key)
         for key in cost.dirty_page_keys:
-            evicted = self.cache.insert(key, dirty=True)
+            evicted = cache.insert(key, dirty=True)
             for victim, was_dirty in evicted:
                 if was_dirty:
                     latency += self._writeback_keys([victim], synchronous=True)

@@ -1,5 +1,7 @@
 """Tests for inode/extent machinery and the shared namespace logic."""
 
+import copy
+
 import pytest
 
 from repro.fs.base import (
@@ -10,9 +12,11 @@ from repro.fs.base import (
     IsADirectoryError_,
     NotADirectoryError_,
     NotFoundError,
+    OperationCost,
 )
 from repro.fs.common import NotEmptyError
 from repro.fs.ext2 import Ext2FileSystem
+from repro.storage.device import IORequest
 
 GiB = 1024 ** 3
 
@@ -195,3 +199,32 @@ class TestNamespace:
         deep = fs.lookup_cost("/d1/d2/file")
         assert deep.cpu_ns > shallow.cpu_ns
         assert len(deep.metadata_reads) > len(shallow.metadata_reads)
+
+
+class TestOperationCost:
+    def test_merge_extends_the_receiver_in_place(self):
+        a = OperationCost(
+            cpu_ns=1.5,
+            device_requests=[IORequest(0, 4096)],
+            dirty_page_keys=[(7, 0)],
+            metadata_reads=[((-2, 64), 64)],
+            discard_requests=[IORequest(8192, 4096, is_discard=True)],
+            flushes=1,
+        )
+        b = OperationCost(
+            cpu_ns=2.0,
+            device_requests=[IORequest(4096, 8192, is_write=True)],
+            dirty_page_keys=[(9, 3), (9, 4)],
+            metadata_reads=[((9, 0), 900)],
+            discard_requests=[IORequest(65536, 4096, is_discard=True)],
+            flushes=2,
+        )
+        lists = ("device_requests", "dirty_page_keys", "metadata_reads", "discard_requests")
+        a_items = {name: list(getattr(a, name)) for name in lists}
+        b_before = copy.deepcopy(b)
+        assert a.merge(b) is a
+        for name in lists:
+            assert getattr(a, name) == a_items[name] + getattr(b, name)
+        assert b == b_before
+        assert a.cpu_ns == 3.5
+        assert a.flushes == 3

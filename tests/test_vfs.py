@@ -2,6 +2,9 @@
 
 import pytest
 
+import repro.fs.common
+import repro.fs.vfs
+from repro.fs.common import INODE_TABLE_PSEUDO_INO
 from repro.fs.stack import build_stack
 from repro.storage.config import scaled_testbed
 from repro.storage.readahead import NO_READAHEAD
@@ -25,6 +28,39 @@ def make_file(vfs, path="/data", size=4 * MiB):
     fd = vfs.open(path)
     vfs.fallocate(fd, size, charge_time=False)
     return fd
+
+
+def make_deep_file(vfs):
+    """Create ``/d1/d2/f``; returns the inodes from the root down to the file.
+
+    Padding files between the levels put each of the four inodes in its own
+    inode-table block.
+    """
+    fs = vfs.fs
+    paths = ("/d1", "/d1/d2", "/d1/d2/f")
+    for depth, path in enumerate(paths):
+        for pad in range(fs._inodes_per_block):
+            fs.create(f"/pad{depth}-{pad}", 0.0)
+        if path == paths[-1]:
+            vfs.create(path)
+        else:
+            vfs.mkdir(path)
+    chain = [fs.resolve(path) for path in ("/",) + paths]
+    assert len({fs._inode_table_block(inode.number) for inode in chain}) == len(chain)
+    return chain
+
+
+def record_submits(vfs, monkeypatch):
+    """Record every batch the device receives as ``(offset, nbytes, is_write)`` triples."""
+    batches = []
+    submit = vfs.device.submit
+
+    def recording_submit(requests, rng):
+        batches.append([(r.offset_bytes, r.nbytes, r.is_write) for r in requests])
+        return submit(requests, rng)
+
+    monkeypatch.setattr(vfs.device, "submit", recording_submit)
+    return batches
 
 
 class TestOpenClose:
@@ -229,6 +265,53 @@ class TestMetadataOps:
         assert vfs.stats.creates >= 1
         assert vfs.stats.stats_calls == 1
         assert vfs.stats.unlinks == 1
+
+    def test_warm_stat_builds_no_device_request(self, vfs, monkeypatch):
+        make_deep_file(vfs)
+        vfs.stat("/d1/d2/f")
+        built = []
+
+        def counting(request_type):
+            def build(*args, **kwargs):
+                built.append(request_type)
+                return request_type(*args, **kwargs)
+
+            return build
+
+        for module in (repro.fs.common, repro.fs.vfs):
+            monkeypatch.setattr(module, "IORequest", counting(module.IORequest))
+        batches = record_submits(vfs, monkeypatch)
+        vfs.stat("/d1/d2/f")
+        assert built == []
+        assert batches == []
+
+    def test_cold_stat_reads_each_missing_metadata_block_once(self, stack, monkeypatch):
+        vfs = stack.vfs
+        fs = vfs.fs
+        block_size = fs.block_size
+        chain = make_deep_file(vfs)
+        stack.drop_caches()
+
+        def inode_table_read(inode):
+            block = fs._inode_table_block(inode.number)
+            return (INODE_TABLE_PSEUDO_INO, block), block * block_size
+
+        # Each directory on the walk: its inode, its block 0, then the child's inode.
+        expected = {}
+        for directory, child in zip(chain, chain[1:]):
+            dir_offset = directory.lookup_extent(0).device_block_for(0) * block_size
+            for key, offset in (
+                inode_table_read(directory),
+                ((directory.number, 0), dir_offset),
+                inode_table_read(child),
+            ):
+                expected.setdefault(key, offset)
+        read_keys = [key for key, _ in fs.lookup_cost("/d1/d2/f").metadata_reads]
+        assert list(dict.fromkeys(read_keys)) == list(expected)
+
+        batches = record_submits(vfs, monkeypatch)
+        vfs.stat("/d1/d2/f")
+        assert batches == [[(offset, block_size, False)] for offset in expected.values()]
 
 
 class TestDeviceContention:
