@@ -107,11 +107,11 @@ class UnixFileSystemBase(FileSystem):
     def _inode_table_key(self, inode_number: int) -> PageKey:
         return (INODE_TABLE_PSEUDO_INO, self._inode_table_block(inode_number))
 
-    def _inode_table_request(self, inode_number: int, is_write: bool = False) -> IORequest:
+    def _inode_table_write(self, inode_number: int) -> IORequest:
         return IORequest(
             offset_bytes=self._inode_table_block(inode_number) * self.block_size,
             nbytes=self.block_size,
-            is_write=is_write,
+            is_write=True,
         )
 
     def _dir_block_key(self, directory: Inode, entry_index: int) -> PageKey:
@@ -483,7 +483,7 @@ class UnixFileSystemBase(FileSystem):
 
     def fsync_cost(self, inode: Inode, dirty_data_pages: int, now_ns: float) -> OperationCost:
         cost = OperationCost(cpu_ns=self._cpu(self._FSYNC_BASE_NS))
-        cost.device_requests.append(self._inode_table_request(inode.number, is_write=True))
+        cost.device_requests.append(self._inode_table_write(inode.number))
         cost.flushes += 1
         self.stats.metadata_writes += 1
         return cost
