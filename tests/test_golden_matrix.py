@@ -6,8 +6,12 @@ The single ext4/hdd payload pinned elsewhere (``GOLDEN_RUN_SHA256``) leaves
 most of the simulator unpinned; these cells cover every file system's
 allocator and write path, the FTL device, every page-cache eviction policy
 on a cache small enough to evict, and a run restored from an aged snapshot.
+A second matrix pins the measurement protocol itself: every warm-up mode
+with one client and with three, and one timed four-client window whose
+throughput and histogram timelines are both cut back to complete intervals.
 A change meant to keep results byte-identical -- an index, a maintained
-counter, a faster scan -- must leave every hash here unchanged.
+counter, a faster scan, one driver in place of two -- must leave every hash
+here unchanged.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import pytest
 
 from repro.aging import AgingConfig, ChurnAger, save_snapshot, snapshot_stack
 from repro.core.persistence import canonical_run_payload
-from repro.core.runner import BenchmarkConfig, EnvironmentNoise, run_single_repetition
+from repro.core.runner import BenchmarkConfig, EnvironmentNoise, WarmupMode, run_single_repetition
 from repro.fs.stack import build_stack
 from repro.storage.cache import CachePolicy
 from repro.storage.config import scaled_testbed
@@ -102,14 +106,79 @@ GOLDEN_PAYLOAD_SHA256 = {
 }
 
 
-def _sha256(fs: str, workload: str, testbed, snapshot_path=None) -> str:
-    run = run_single_repetition(
+#: The warm-up protocols of the second matrix, as ``BenchmarkConfig`` fields.
+WARMUPS = {
+    "none": {"warmup_mode": WarmupMode.NONE},
+    "prewarm": {"warmup_mode": WarmupMode.PREWARM},
+    "duration": {"warmup_mode": WarmupMode.DURATION, "warmup_s": 0.5},
+    "steady_state": {"warmup_mode": WarmupMode.STEADY_STATE, "max_warmup_s": 3.0, "interval_s": 0.25},
+}
+PROTOCOL_CONFIG = replace(CONFIG, max_ops=400)
+#: A 2 s window with four clients ends past its last complete 0.5 s interval,
+#: so both timelines lose a partial interval.
+TIMED_CELL = "ext4/postmark/c4/timed"
+
+
+def _protocol_cells():
+    """``name -> (fs, workload, config)`` for the protocol matrix."""
+    cells = {}
+    for fs, workload in (("ext4", "postmark"), ("xfs", "oltp")):
+        for clients in (1, 3):
+            for name, fields in WARMUPS.items():
+                config = replace(PROTOCOL_CONFIG, clients=clients, **fields)
+                cells[f"{fs}/{workload}/c{clients}/{name}"] = (fs, workload, config)
+    cells[TIMED_CELL] = (
+        "ext4",
+        "postmark",
+        replace(
+            PROTOCOL_CONFIG,
+            duration_s=2.0,
+            max_ops=None,
+            interval_s=0.5,
+            histogram_interval_s=0.5,
+            warmup_mode=WarmupMode.NONE,
+            clients=4,
+        ),
+    )
+    return cells
+
+
+PROTOCOL_CELLS = _protocol_cells()
+
+# Computed while one client and several clients still had separate drivers.
+GOLDEN_PROTOCOL_SHA256 = {
+    "ext4/postmark/c1/duration": "a1c8a73c049a58973db31670062228617df2524f1e3e20eaa15771c0735f6c6a",
+    "ext4/postmark/c1/none": "d6f3de13dc2cf5c527c4f7da53b7dd772a638e6d1ea9557f9eb72f7d39e11f42",
+    "ext4/postmark/c1/prewarm": "7e8117772a3955dfeb7fd56b0786aab2d6ba8c29f19ea5bb40569a0e3103f881",
+    "ext4/postmark/c1/steady_state": "612130f82e18da57d7148c4cbc3ee229f72077e605ccdc7819da8d4334543bd1",
+    "ext4/postmark/c3/duration": "3f932397526fd2b94273b4257ea11d3bbbc97ab9fb78f8715e8a0c4e79a6da9c",
+    "ext4/postmark/c3/none": "27b33f64182a40db05e32d02bebac85ca8c49e065e824d610cc6c947fe7a7491",
+    "ext4/postmark/c3/prewarm": "4f414f111e680952996094a92676815ac31f994a94ddd4616480aeff791b0e51",
+    "ext4/postmark/c3/steady_state": "5fc055355e65073b2f7c20b75e8f2657a7a5dcb079ea5749b61a5675b1b79fde",
+    "ext4/postmark/c4/timed": "967427459fc4ef15f8f3f784da1cdca183ace812505cd15b9812bdd9549e3a2a",
+    "xfs/oltp/c1/duration": "02e598452cbf10ea3575892ca2765d323e5901adc2b2fbbfe6db427ca7fbc270",
+    "xfs/oltp/c1/none": "ba82c3f58fc572c793aa9c29265017235c354b1302102dda31211bf6fc9364d0",
+    "xfs/oltp/c1/prewarm": "e92c922b5e341708819e636a9cafe3fd5ff05c1282e2bfa0acf39f34013bbd9f",
+    "xfs/oltp/c1/steady_state": "9bb78e828b2201d96c1a14b8bda6371aff9eee5c4e01852f18db73fff59ad69b",
+    "xfs/oltp/c3/duration": "fa692daa37e74592205ea630fab733ad199339656d87754f77f101f7808ea2a4",
+    "xfs/oltp/c3/none": "c2d34daa36258dfc4cf44d09f3aa71e177c34dc6edccf2a3dcf2b317a767e4c2",
+    "xfs/oltp/c3/prewarm": "bac86d4a862a7296afd2893cc5f27a74ea1f20ae3c35edc001c18affe49ed0b1",
+    "xfs/oltp/c3/steady_state": "fac585e1b8889369f59855c5797c48267b4e44fd8552ce58fa1f86aa51976fb6",
+}
+
+
+def _run(fs: str, workload: str, testbed, config, snapshot_path=None):
+    return run_single_repetition(
         fs,
         WORKLOAD_REGISTRY[workload](TESTBED),
         testbed=testbed,
-        config=CONFIG,
+        config=config,
         snapshot_path=snapshot_path,
     )
+
+
+def _sha256(fs: str, workload: str, testbed, snapshot_path=None) -> str:
+    run = _run(fs, workload, testbed, CONFIG, snapshot_path)
     assert run.operations == CONFIG.max_ops
     return hashlib.sha256(canonical_run_payload(run)).hexdigest()
 
@@ -150,3 +219,28 @@ def test_payload_is_byte_identical(cell):
 def test_aged_snapshot_payload_is_byte_identical(aged_snapshot_path):
     digest = _sha256("ext2", "postmark", TESTBED, snapshot_path=aged_snapshot_path)
     assert digest == GOLDEN_PAYLOAD_SHA256[AGED_CELL]
+
+
+def test_every_protocol_cell_is_pinned():
+    assert set(GOLDEN_PROTOCOL_SHA256) == set(PROTOCOL_CELLS)
+
+
+@pytest.mark.parametrize("cell", sorted(PROTOCOL_CELLS))
+def test_protocol_payload_is_byte_identical(cell):
+    fs, workload, config = PROTOCOL_CELLS[cell]
+    run = _run(fs, workload, TESTBED, config)
+    if config.max_ops is not None:
+        assert run.operations == config.max_ops
+    assert run.clients == config.clients
+    assert hashlib.sha256(canonical_run_payload(run)).hexdigest() == GOLDEN_PROTOCOL_SHA256[cell]
+
+
+def test_timed_window_keeps_only_complete_intervals():
+    # Guards the choice of TIMED_CELL: a window that ended on an interval
+    # boundary would pin a truncation that drops nothing.
+    _, _, config = PROTOCOL_CELLS[TIMED_CELL]
+    run = _run("ext4", "postmark", TESTBED, config)
+    assert run.measured_duration_s > config.duration_s
+    complete = int(run.measured_duration_s / config.interval_s)
+    assert len(run.timeline) == len(run.histogram_timeline) == complete
+    assert run.timeline.total_operations() < run.operations
