@@ -38,10 +38,15 @@ Invariants the loop maintains (see ``docs/architecture.md`` section 7):
   :func:`derive_client_seed`\\ ``(s, i)`` -- a stable BLAKE2b hash, not
   ``s + i``, so client streams neither overlap each other nor collide with
   the ``config.seed + repetition`` arithmetic of neighbouring repetitions.
-* **One client is the legacy path.**  With a single session the loop
-  degenerates to "rewind to your own completion time" (a no-op), so
-  ``clients=1`` measurements remain bit-identical to the serial engine --
-  the runner does not even enter this module for them.
+* **One client keeps the engine's own loop.**  The runner drives every
+  client count through one ``run_once``, but a single session runs
+  :meth:`~repro.workloads.spec.WorkloadEngine.run`, not :func:`run_window`:
+  ``run`` checks the deadline once per round of the spec's threads and this
+  loop after every operation, so a multi-threaded workload would end its
+  windows at different operations.  The runner builds that one session
+  itself, seeded with the repetition's own seed rather than a derived one,
+  so ``clients=1`` measurements remain bit-identical to every release
+  before the axis existed.
 """
 
 from __future__ import annotations
@@ -160,7 +165,7 @@ def client_summary_metrics(rows: Sequence[Dict[str, float]]) -> Dict[str, float]
 # ---------------------------------------------------------------- sessions
 @dataclass
 class ClientSession:
-    """One client of a multi-client run: an engine plus its virtual cursor.
+    """One client of a run: an engine plus its virtual cursor.
 
     Attributes
     ----------
@@ -176,7 +181,8 @@ class ClientSession:
         issues (completion time of its previous one).
     operations, latencies_ns:
         Measured-window accounting, filled by the runner's per-session
-        callback (not by the event loop, which is measurement-agnostic).
+        callback when there are several clients (not by the event loop,
+        which is measurement-agnostic).
     """
 
     index: int
@@ -240,7 +246,8 @@ def run_window(
     the operation issues at the right simulated instant, until every cursor
     has crossed the deadline or ``max_ops`` operations have run.  A client
     issues an operation iff its cursor is strictly before the deadline --
-    the same boundary rule as the serial engine's ``run`` loop.
+    the serial engine's ``run`` loop applies the same rule, but only once
+    per round of its threads.
 
     On return the clock stands at the latest cursor (the window's completion
     time, matching where the serial engine leaves it), and the number of

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional
 
+from repro.core.concurrency import ClientSession, build_sessions, client_metrics, run_window
 from repro.core.histogram import LatencyHistogram
 from repro.core.results import RepetitionSet, RunResult
 from repro.core.steady_state import SteadyStateDetector
@@ -114,11 +115,12 @@ class BenchmarkConfig:
         Environmental perturbation injected per repetition.
     clients:
         Number of concurrent client sessions sharing the stack.  ``1`` (the
-        default) is the legacy serial path, bit-identical to every release
-        before the axis existed; ``>1`` interleaves hash-seeded copies of
-        the workload through the deterministic virtual-time event loop
+        default) drives the workload engine's own loop, and its payloads and
+        cache keys are bit-identical to every release before the axis
+        existed; ``>1`` interleaves hash-seeded copies of the workload
+        through the deterministic virtual-time event loop
         (:mod:`repro.core.concurrency`) and reports per-client metrics on
-        the result.
+        the result.  Both go through :meth:`BenchmarkRunner.run_once`.
     trace:
         Attach a :class:`repro.obs.Tracer` for the measured window and
         attach the resulting latency attribution and event ring to the
@@ -258,7 +260,7 @@ def _flash_environment(stack: StorageStack) -> Dict[str, float]:
     }
 
 
-def _session_recorder(session, recorder: _Recorder):
+def _session_recorder(session: ClientSession, recorder: _Recorder):
     """An ``on_op`` callback that feeds both the shared recorder and one
     session's exact per-client sample list."""
 
@@ -268,6 +270,27 @@ def _session_recorder(session, recorder: _Recorder):
         session.latencies_ns.append(record.latency_ns)
 
     return _record
+
+
+def _drive(
+    sessions: List[ClientSession],
+    clock,
+    duration_s: Optional[float],
+    max_ops: Optional[int] = None,
+    tracer: Optional[Tracer] = None,
+) -> int:
+    """Run one window of the workload; returns the operations executed.
+
+    One client runs its engine's own :meth:`WorkloadEngine.run`; several
+    interleave through :func:`~repro.core.concurrency.run_window`.  The two
+    are not interchangeable for one client: ``run`` checks the deadline
+    once per round of the spec's threads, ``run_window`` after every
+    operation, so a multi-threaded workload (oltp runs 8) would end its
+    windows at different operations.
+    """
+    if len(sessions) == 1:
+        return sessions[0].engine.run(duration_s=duration_s, max_ops=max_ops)
+    return run_window(sessions, clock, duration_s=duration_s, max_ops=max_ops, tracer=tracer)
 
 
 class BenchmarkRunner:
@@ -320,13 +343,16 @@ class BenchmarkRunner:
     def run_once(self, spec: WorkloadSpec, repetition: int = 0) -> RunResult:
         """Run a single repetition of ``spec`` and return its :class:`RunResult`.
 
-        ``config.clients > 1`` dispatches to the multi-client virtual-time
-        event loop; one client stays on this serial path, untouched, so the
-        legacy bit-identity guarantee is structural rather than hoped-for.
+        Every client count takes this one path.  The count changes four
+        things: one :class:`WorkloadEngine` or
+        :func:`~repro.core.concurrency.build_sessions` builds the engines;
+        the ``_Recorder`` itself or one per-session hook is each engine's
+        ``on_op``; :func:`_drive` picks the loop that drives a window; and
+        only with more than one client does the result carry
+        ``environment["clients"]`` and ``client_metrics``.
         """
-        if self.config.clients > 1:
-            return self._run_once_concurrent(spec, repetition)
         config = self.config
+        multi_client = config.clients > 1
         seed = config.seed + repetition
         noise_rng = random.Random(seed * 7919 + 13)
 
@@ -337,27 +363,35 @@ class BenchmarkRunner:
         with profile_phase("stack-build"):
             stack = self._stack_factory(self.fs_type, testbed, seed, cpu_factor)
 
-        engine = WorkloadEngine(stack, spec, seed=seed)
+        if multi_client:
+            sessions = build_sessions(stack, spec, base_seed=seed, clients=config.clients)
+        else:
+            sessions = [ClientSession(0, seed, WorkloadEngine(stack, spec, seed=seed))]
         with profile_phase("setup"):
-            engine.setup()
+            for session in sessions:
+                session.engine.setup()
             if config.cold_cache:
                 stack.drop_caches()
 
         warmup_start_ns = stack.clock.now_ns
         with profile_phase("warmup"):
-            self._warm_up(stack, engine, spec)
+            self._warm_up(stack, sessions)
         warmup_duration_s = (stack.clock.now_ns - warmup_start_ns) / 1e9
 
         origin_ns = stack.clock.now_ns
         recorder = _Recorder(config, origin_ns)
-        engine.on_op = recorder
+        for session in sessions:
+            session.engine.on_op = (
+                _session_recorder(session, recorder) if multi_client else recorder
+            )
         stack.reset_statistics()
         tracer = self._attach_tracer(stack)
 
         duration = config.duration_s if config.duration_s > 0 else None
         with profile_phase("measured-run"):
-            engine.run(duration_s=duration, max_ops=config.max_ops)
-        engine.on_op = None
+            _drive(sessions, stack.clock, duration, max_ops=config.max_ops, tracer=tracer)
+        for session in sessions:
+            session.engine.on_op = None
         if tracer is not None:
             stack.attach_tracer(None)
 
@@ -378,6 +412,8 @@ class BenchmarkRunner:
             "page_cache_bytes": float(effective_cache),
             "cpu_speed_factor": cpu_factor,
         }
+        if multi_client:
+            environment["clients"] = float(config.clients)
         environment.update(_flash_environment(stack))
 
         return RunResult(
@@ -399,97 +435,10 @@ class BenchmarkRunner:
             bytes_read=stack.vfs.stats.bytes_read,
             bytes_written=stack.vfs.stats.bytes_written,
             environment=environment,
-            attribution=tracer.attribution.to_dict() if tracer is not None else None,
-            trace_events=tracer.events_list() if tracer is not None else None,
-        )
-
-    def _run_once_concurrent(self, spec: WorkloadSpec, repetition: int) -> RunResult:
-        """One repetition with ``config.clients`` sessions contending on one stack.
-
-        Mirrors :meth:`run_once` stage for stage -- perturbed environment,
-        setup outside measured time, warm-up, measured window, truncation --
-        but drives the window through
-        :func:`repro.core.concurrency.run_window` and additionally collects
-        exact per-client latencies into ``RunResult.client_metrics``.
-        """
-        from repro.core.concurrency import build_sessions, client_metrics, run_window
-
-        config = self.config
-        seed = config.seed + repetition
-        noise_rng = random.Random(seed * 7919 + 13)
-
-        testbed, cpu_factor, effective_cache = self._perturbed_environment(noise_rng)
-        with profile_phase("stack-build"):
-            stack = self._stack_factory(self.fs_type, testbed, seed, cpu_factor)
-
-        sessions = build_sessions(stack, spec, base_seed=seed, clients=config.clients)
-        with profile_phase("setup"):
-            for session in sessions:
-                session.engine.setup()
-            if config.cold_cache:
-                stack.drop_caches()
-
-        warmup_start_ns = stack.clock.now_ns
-        with profile_phase("warmup"):
-            self._warm_up_concurrent(stack, sessions)
-        warmup_duration_s = (stack.clock.now_ns - warmup_start_ns) / 1e9
-
-        origin_ns = stack.clock.now_ns
-        recorder = _Recorder(config, origin_ns)
-        for session in sessions:
-            session.engine.on_op = _session_recorder(session, recorder)
-        stack.reset_statistics()
-        tracer = self._attach_tracer(stack)
-
-        duration = config.duration_s if config.duration_s > 0 else None
-        with profile_phase("measured-run"):
-            run_window(
-                sessions, stack.clock, duration_s=duration, max_ops=config.max_ops, tracer=tracer
-            )
-        for session in sessions:
-            session.engine.on_op = None
-        if tracer is not None:
-            stack.attach_tracer(None)
-
-        measured_duration_s = (stack.clock.now_ns - origin_ns) / 1e9
-        throughput = recorder.operations / measured_duration_s if measured_duration_s > 0 else 0.0
-
-        complete_intervals = int(measured_duration_s / config.interval_s)
-        if complete_intervals >= 1:
-            recorder.timeline.truncate(complete_intervals)
-        if recorder.histogram_timeline is not None and config.histogram_interval_s:
-            complete_histograms = int(measured_duration_s / config.histogram_interval_s)
-            if complete_histograms >= 1:
-                recorder.histogram_timeline.truncate(complete_histograms)
-
-        environment = {
-            "page_cache_bytes": float(effective_cache),
-            "cpu_speed_factor": cpu_factor,
-            "clients": float(config.clients),
-        }
-        environment.update(_flash_environment(stack))
-
-        return RunResult(
-            workload_name=spec.name,
-            fs_name=stack.fs_name,
-            repetition=repetition,
-            seed=seed,
-            measured_duration_s=measured_duration_s,
-            warmup_duration_s=warmup_duration_s,
-            operations=recorder.operations,
-            throughput_ops_s=throughput,
-            histogram=recorder.histogram,
-            timeline=recorder.timeline,
-            histogram_timeline=recorder.histogram_timeline,
-            raw_latencies_ns=recorder.raw,
-            cache_hit_ratio=stack.cache.stats.hit_ratio,
-            device_reads=stack.device.stats.read_requests,
-            device_writes=stack.device.stats.write_requests,
-            bytes_read=stack.vfs.stats.bytes_read,
-            bytes_written=stack.vfs.stats.bytes_written,
-            environment=environment,
-            client_metrics=client_metrics(
-                [session.latencies_ns for session in sessions], measured_duration_s
+            client_metrics=(
+                client_metrics([session.latencies_ns for session in sessions], measured_duration_s)
+                if multi_client
+                else None
             ),
             attribution=tracer.attribution.to_dict() if tracer is not None else None,
             trace_events=tracer.events_list() if tracer is not None else None,
@@ -524,42 +473,14 @@ class BenchmarkRunner:
             testbed = replace(testbed, os_reserved_bytes=reserved)
         return testbed, cpu_factor, testbed.page_cache_bytes
 
-    def _warm_up(self, stack: StorageStack, engine: WorkloadEngine, spec: WorkloadSpec) -> None:
-        """Condition the cache according to the configured warm-up mode."""
-        config = self.config
-        mode = config.warmup_mode
-        if mode is WarmupMode.NONE:
-            return
-        if mode is WarmupMode.PREWARM:
-            self._prewarm_sequential(stack, engine)
-            return
-        if mode is WarmupMode.DURATION:
-            engine.run(duration_s=config.warmup_s)
-            return
-        # STEADY_STATE: run in interval-sized chunks until stable.
-        detector = SteadyStateDetector()
-        elapsed = 0.0
-        chunk = max(config.interval_s, 1.0)
-        while elapsed < config.max_warmup_s:
-            start_ns = stack.clock.now_ns
-            ops_before = engine.ops_executed
-            engine.run(duration_s=chunk)
-            interval_s = (stack.clock.now_ns - start_ns) / 1e9
-            ops = engine.ops_executed - ops_before
-            elapsed += interval_s
-            if detector.observe(ops / interval_s if interval_s > 0 else 0.0):
-                return
+    def _warm_up(self, stack: StorageStack, sessions: List[ClientSession]) -> None:
+        """Condition the cache according to the configured warm-up mode.
 
-    def _warm_up_concurrent(self, stack: StorageStack, sessions) -> None:
-        """The warm-up protocol with every client participating.
-
-        PREWARM pre-reads each client's fileset in client order (stopping,
-        as ever, once the shared cache is full); DURATION and STEADY_STATE
-        run the interleaved event loop itself, so warm-up traffic contends
-        exactly like measured traffic will.
+        Every client takes part: PREWARM pre-reads each client's fileset in
+        client order (stopping, as ever, once the shared cache is full), and
+        DURATION and STEADY_STATE run windows of the same loop the measured
+        window uses (see :func:`_drive`).
         """
-        from repro.core.concurrency import run_window
-
         config = self.config
         mode = config.warmup_mode
         if mode is WarmupMode.NONE:
@@ -569,14 +490,15 @@ class BenchmarkRunner:
                 self._prewarm_sequential(stack, session.engine)
             return
         if mode is WarmupMode.DURATION:
-            run_window(sessions, stack.clock, duration_s=config.warmup_s)
+            _drive(sessions, stack.clock, config.warmup_s)
             return
+        # STEADY_STATE: run in interval-sized chunks until stable.
         detector = SteadyStateDetector()
         elapsed = 0.0
         chunk = max(config.interval_s, 1.0)
         while elapsed < config.max_warmup_s:
             start_ns = stack.clock.now_ns
-            ops = run_window(sessions, stack.clock, duration_s=chunk)
+            ops = _drive(sessions, stack.clock, chunk)
             interval_s = (stack.clock.now_ns - start_ns) / 1e9
             elapsed += interval_s
             if detector.observe(ops / interval_s if interval_s > 0 else 0.0):
