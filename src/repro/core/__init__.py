@@ -35,15 +35,8 @@ subpackage is that methodology as a library:
 
 from repro.core.dimensions import Coverage, Dimension, DimensionVector
 from repro.core.histogram import LatencyHistogram, bucket_label
-from repro.core.persistence import (
-    load_repetitions,
-    load_run_result,
-    load_sweep,
-    save_repetitions,
-    save_run_result,
-    save_sweep,
-)
-from repro.core.results import RepetitionSet, RunResult, SweepResult, merge_repetition_sets
+from repro.core.persistence import load_run_result, save_run_result
+from repro.core.results import RepetitionSet, RunResult, SweepResult
 from repro.core.runner import (
     BenchmarkConfig,
     BenchmarkRunner,
@@ -56,7 +49,6 @@ from repro.core.parallel import (
     ParallelExecutor,
     ResultCache,
     WorkUnit,
-    benchmark_units,
     cache_key,
     execute_unit,
 )
@@ -106,10 +98,6 @@ __all__ = [
     "DimensionVector",
     "LatencyHistogram",
     "bucket_label",
-    "load_repetitions",
-    "load_sweep",
-    "save_repetitions",
-    "save_sweep",
     "RepetitionSet",
     "RunResult",
     "SweepResult",
@@ -147,13 +135,11 @@ __all__ = [
     "load_paper_survey",
     "load_run_result",
     "save_run_result",
-    "merge_repetition_sets",
     "run_single_repetition",
     "CacheStats",
     "ParallelExecutor",
     "ResultCache",
     "WorkUnit",
-    "benchmark_units",
     "cache_key",
     "execute_unit",
 ]

@@ -40,7 +40,7 @@ from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.persistence import load_run_result, save_run_result
-from repro.core.results import RepetitionSet, RunResult
+from repro.core.results import RunResult
 from repro.core.runner import BenchmarkConfig, run_single_repetition
 from repro.obs.metrics import MetricSource
 from repro.obs.profile import phase as profile_phase
@@ -111,12 +111,12 @@ class _KeyScan:
     """The spec and testbed forms that one key scan reuses.
 
     A cell's units come one after another and share their spec and testbed
-    objects (:meth:`~repro.core.experiment.ExperimentCell.work_units`,
-    :func:`benchmark_units`), so the scan keeps the spec and the testbed it
-    canonicalised last and reuses a form while the next unit passes that
-    very object.  Identity, not equality: ``1 == 1.0``, yet they encode
-    differently, and lint rule DET004 bans ``id()``.  Holding the object
-    keeps its identity from passing to a newcomer.
+    objects (:meth:`~repro.core.experiment.ExperimentCell.work_units`), so
+    the scan keeps the spec and the testbed it canonicalised last and reuses
+    a form while the next unit passes that very object.  Identity, not
+    equality: ``1 == 1.0``, yet they encode differently, and lint rule
+    DET004 bans ``id()``.  Holding the object keeps its identity from
+    passing to a newcomer.
     """
 
     def __init__(self) -> None:
@@ -221,9 +221,11 @@ class WorkUnit:
     testbed:
         Simulated machine; ``None`` means the paper's testbed.
     group:
-        Label of the :class:`RepetitionSet` this unit belongs to; units with
-        the same group are reassembled into one set by
-        :meth:`ParallelExecutor.run_repetition_sets`.
+        Label of the experiment cell this unit belongs to;
+        :meth:`~repro.core.experiment.Experiment.run` gathers the units of
+        one group into that cell's
+        :class:`~repro.core.results.RepetitionSet`, and telemetry events
+        name it.
     snapshot_path, snapshot_fingerprint:
         The aging axis: when set, the repetition starts from the
         :class:`~repro.aging.snapshot.StateSnapshot` stored at
@@ -283,48 +285,11 @@ def execute_unit(unit: WorkUnit) -> RunResult:
 def group_label(benchmark_name: str, fs_type: str) -> str:
     """Label of the repetition set for one (benchmark, file system) cell.
 
-    The single definition shared by unit expansion and result reassembly,
-    matching the label the serial ``NanoBenchmark.run`` method uses.
+    The single definition shared by :class:`~repro.core.experiment.Experiment`
+    cell labels and the harnesses that look a cell up by them, matching the
+    label the serial ``NanoBenchmark.run`` method uses.
     """
     return f"{benchmark_name}@{fs_type}"
-
-
-def benchmark_units(
-    benchmark,
-    fs_type: str,
-    testbed: Optional[TestbedConfig] = None,
-    config: Optional[BenchmarkConfig] = None,
-    snapshot_path: Optional[str] = None,
-    snapshot_fingerprint: Optional[str] = None,
-) -> List[WorkUnit]:
-    """Expand one :class:`~repro.core.benchmark.NanoBenchmark` on one file
-    system into its per-repetition work units.
-
-    The spec is built once and shared by every repetition, exactly like the
-    serial loop in ``BenchmarkRunner.run`` (the runner never mutates it), so
-    even a workload factory with construction-time randomness keeps the
-    serial contract and one cache identity per cell.  Factories are not
-    picklable; the spec is, which is why units carry the spec itself.
-
-    ``snapshot_path``/``snapshot_fingerprint`` put every repetition on the
-    same aged starting state (see :class:`WorkUnit`).
-    """
-    effective = config or benchmark.config or BenchmarkConfig()
-    effective.validate()  # fail here with a clear error, not per-unit in a worker
-    spec = benchmark.build_workload()
-    return [
-        WorkUnit(
-            fs_type=fs_type,
-            spec=spec,
-            config=effective,
-            repetition=repetition,
-            testbed=testbed,
-            group=group_label(benchmark.name, fs_type),
-            snapshot_path=snapshot_path,
-            snapshot_fingerprint=snapshot_fingerprint,
-        )
-        for repetition in range(effective.repetitions)
-    ]
 
 
 # -------------------------------------------------------------- result cache
@@ -695,27 +660,6 @@ class ParallelExecutor:
                 profile.disable()
         for name, seconds in profiler.totals().items():
             timing.phases[name] = timing.phases.get(name, 0.0) + seconds
-
-    def run_repetition_sets(
-        self,
-        units: Sequence[WorkUnit],
-        on_result: Optional[Callable[[WorkUnit, RunResult, bool], None]] = None,
-    ) -> Dict[str, RepetitionSet]:
-        """Execute units and reassemble them into per-group repetition sets.
-
-        Groups appear in first-encounter order and each set's runs stay in
-        unit order, so serial and parallel assembly are indistinguishable.
-        ``on_result`` streams per-unit completions (see :meth:`run_units`).
-        """
-        units = list(units)
-        runs = self.run_units(units, on_result=on_result)
-        sets: Dict[str, RepetitionSet] = {}
-        for unit, run in zip(units, runs):
-            label = unit.group or f"{unit.spec.name}@{unit.fs_type}"
-            if label not in sets:
-                sets[label] = RepetitionSet(label=label)
-            sets[label].add(run)
-        return sets
 
     # ------------------------------------------------------------- internals
     def _run_local(self, unit: WorkUnit, key: str):

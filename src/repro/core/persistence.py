@@ -2,24 +2,28 @@
 
 "In the interest of full disclosure, let's report a range of values that span
 multiple dimensions" -- which only works if results can leave the machine
-they were measured on.  This module serialises the result containers
-(:class:`~repro.core.results.RunResult`, :class:`RepetitionSet`,
-:class:`SweepResult`) to plain JSON so that sweeps can be archived alongside
-a paper, diffed between runs, or re-analysed without re-simulation.
+they were measured on.  This module serialises one
+:class:`~repro.core.results.RunResult` (one repetition) to plain JSON: the
+loose entries of the result cache (:mod:`repro.core.parallel`) are such
+documents, and the payloads of packed result artifacts (:mod:`repro.store`)
+are the same documents in compact form.  Repetition sets and sweeps are not
+archived on their own; they are rebuilt from runs, and a campaign is kept as
+a result frame or a pack (``fsbench-rocket results merge`` unions shards).
 
-The format is intentionally boring: a top-level ``format``/``version`` pair,
-then nested dictionaries mirroring the dataclasses.  Histograms are stored as
-their bucket counts, timelines as per-interval operation/byte/latency arrays;
-everything needed by the analysis and reporting layers round-trips exactly.
+The format is intentionally boring: a top-level ``format``/``version``/``kind``
+header, then nested dictionaries mirroring the dataclass.  Histograms are
+stored as their bucket counts, timelines as per-interval operation/byte/latency
+arrays; everything needed by the analysis and reporting layers round-trips
+exactly.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, TextIO, Union
+from typing import Dict, TextIO, Union
 
 from repro.core.histogram import LatencyHistogram
-from repro.core.results import RepetitionSet, RunResult, SweepResult
+from repro.core.results import RunResult
 from repro.core.timeline import HistogramTimeline, IntervalSeries
 
 FORMAT_NAME = "fsbench-rocket-results"
@@ -100,26 +104,6 @@ def run_result_to_dict(run: RunResult) -> Dict:
     return payload
 
 
-def repetition_set_to_dict(repetitions: RepetitionSet) -> Dict:
-    """Serialise a :class:`RepetitionSet`."""
-    return {
-        "label": repetitions.label,
-        "runs": [run_result_to_dict(run) for run in repetitions.runs],
-    }
-
-
-def sweep_to_dict(sweep: SweepResult) -> Dict:
-    """Serialise a :class:`SweepResult`."""
-    return {
-        "parameter_name": sweep.parameter_name,
-        "unit": sweep.unit,
-        "points": [
-            {"parameter": parameter, "repetitions": repetition_set_to_dict(sweep.points[parameter])}
-            for parameter in sweep.parameters()
-        ],
-    }
-
-
 # --------------------------------------------------------------------------- decode
 def _histogram_from_dict(payload: Dict) -> LatencyHistogram:
     histogram = LatencyHistogram(buckets=len(payload["counts"]))
@@ -182,22 +166,6 @@ def run_result_from_dict(payload: Dict) -> RunResult:
     )
 
 
-def repetition_set_from_dict(payload: Dict) -> RepetitionSet:
-    """Reconstruct a :class:`RepetitionSet`."""
-    return RepetitionSet(
-        label=payload["label"],
-        runs=[run_result_from_dict(entry) for entry in payload["runs"]],
-    )
-
-
-def sweep_from_dict(payload: Dict) -> SweepResult:
-    """Reconstruct a :class:`SweepResult`."""
-    sweep = SweepResult(parameter_name=payload["parameter_name"], unit=payload.get("unit", ""))
-    for point in payload["points"]:
-        sweep.add(float(point["parameter"]), repetition_set_from_dict(point["repetitions"]))
-    return sweep
-
-
 # --------------------------------------------------------------------------- files
 def _wrap(kind: str, payload: Dict) -> Dict:
     return {
@@ -208,14 +176,14 @@ def _wrap(kind: str, payload: Dict) -> Dict:
     }
 
 
-def _unwrap(document: Dict, expected_kind: Optional[str] = None) -> Dict:
+def _unwrap(document: Dict, expected_kind: str) -> Dict:
     if document.get("format") != FORMAT_NAME:
         raise ValueError(f"not a {FORMAT_NAME} document")
     if int(document.get("version", -1)) > FORMAT_VERSION:
         raise ValueError(
             f"result file version {document.get('version')} is newer than supported ({FORMAT_VERSION})"
         )
-    if expected_kind is not None and document.get("kind") != expected_kind:
+    if document.get("kind") != expected_kind:
         raise ValueError(f"expected a {expected_kind!r} document, found {document.get('kind')!r}")
     return document["data"]
 
@@ -267,23 +235,3 @@ def save_run_result(run: RunResult, destination: Union[str, TextIO]) -> None:
 def load_run_result(source: Union[str, TextIO]) -> RunResult:
     """Read a single run written by :func:`save_run_result`."""
     return run_result_from_dict(_unwrap(_read(source), "run_result"))
-
-
-def save_repetitions(repetitions: RepetitionSet, destination: Union[str, TextIO]) -> None:
-    """Write a repetition set to a JSON file or file object."""
-    _write(_wrap("repetition_set", repetition_set_to_dict(repetitions)), destination)
-
-
-def load_repetitions(source: Union[str, TextIO]) -> RepetitionSet:
-    """Read a repetition set written by :func:`save_repetitions`."""
-    return repetition_set_from_dict(_unwrap(_read(source), "repetition_set"))
-
-
-def save_sweep(sweep: SweepResult, destination: Union[str, TextIO]) -> None:
-    """Write a sweep (e.g. a Figure 1 regeneration) to a JSON file or file object."""
-    _write(_wrap("sweep", sweep_to_dict(sweep)), destination)
-
-
-def load_sweep(source: Union[str, TextIO]) -> SweepResult:
-    """Read a sweep written by :func:`save_sweep`."""
-    return sweep_from_dict(_unwrap(_read(source), "sweep"))

@@ -9,7 +9,7 @@ the problem.  Reporting code decides later how much of that to show.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.histogram import LatencyHistogram
 from repro.core.stats import SummaryStatistics, fragility_index, summarize
@@ -166,42 +166,6 @@ class RepetitionSet:
     def first(self) -> RunResult:
         """The first repetition (raises ``IndexError`` when empty)."""
         return self.runs[0]
-
-    # --------------------------------------------------------------- merging
-    def sorted_by_repetition(self) -> "RepetitionSet":
-        """A copy with runs ordered by repetition index (ties keep input order)."""
-        return RepetitionSet(
-            label=self.label, runs=sorted(self.runs, key=lambda run: run.repetition)
-        )
-
-    def merge(self, other: "RepetitionSet") -> "RepetitionSet":
-        """Combine two shards of the same configuration into one set.
-
-        Used to reassemble results measured by different workers (or loaded
-        from different archive files) into the set a serial run would have
-        produced: runs are pooled and re-ordered by repetition index.  The
-        labels must match -- merging different configurations would silently
-        fabricate a distribution that was never measured.
-        """
-        if other.label != self.label:
-            raise ValueError(
-                f"refusing to merge different configurations: {self.label!r} vs {other.label!r}"
-            )
-        return RepetitionSet(label=self.label, runs=self.runs + other.runs).sorted_by_repetition()
-
-
-def merge_repetition_sets(shards: Iterable[RepetitionSet]) -> RepetitionSet:
-    """Merge any number of same-label shards (see :meth:`RepetitionSet.merge`).
-
-    Raises ``ValueError`` when given no shards or shards of mixed labels.
-    """
-    shards = list(shards)
-    if not shards:
-        raise ValueError("need at least one shard to merge")
-    merged = shards[0]
-    for shard in shards[1:]:
-        merged = merged.merge(shard)
-    return merged.sorted_by_repetition()
 
 
 @dataclass

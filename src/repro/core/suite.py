@@ -20,13 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.benchmark import NanoBenchmark
 from repro.core.dimensions import Dimension, DimensionVector
 from repro.core.experiment import Experiment, ParameterGrid
-from repro.core.parallel import (
-    ParallelExecutor,
-    ResultCache,
-    WorkUnit,
-    benchmark_units,
-    group_label,
-)
+from repro.core.parallel import ParallelExecutor, group_label
 from repro.core.results import RepetitionSet
 from repro.core.runner import BenchmarkConfig, WarmupMode
 from repro.fs.stack import DEFAULT_FS_TYPES
@@ -226,47 +220,6 @@ class NanoBenchmarkSuite:
         self.cache_dir = cache_dir
         self.snapshot_path = snapshot_path
 
-    def make_executor(self) -> ParallelExecutor:
-        """The executor this suite dispatches through (one cache per call)."""
-        cache = ResultCache(self.cache_dir) if self.cache_dir else None
-        return ParallelExecutor(n_workers=self.n_workers, cache=cache)
-
-    def work_units(self, fs_types: Sequence[str]) -> List[WorkUnit]:
-        """Every (benchmark, file system, repetition) unit of a suite run.
-
-        Duplicate file system names are dropped (keeping first occurrence),
-        matching the old serial loop where a repeated ``--fs`` simply
-        overwrote the same result cell.
-        """
-        fingerprint = None
-        if self.snapshot_path is not None:
-            # Imported lazily: the aging subsystem sits above the core layer.
-            from repro.aging.snapshot import load_snapshot_cached
-
-            snapshot = load_snapshot_cached(self.snapshot_path)
-            fingerprint = snapshot.fingerprint
-            mismatched = [fs for fs in dict.fromkeys(fs_types) if fs != snapshot.fs_type]
-            if mismatched:
-                # Fail before any measurement runs, not per-unit in a worker.
-                raise ValueError(
-                    f"snapshot {self.snapshot_path} holds {snapshot.fs_type!r} state; "
-                    f"it cannot be restored as {', '.join(repr(fs) for fs in mismatched)} "
-                    f"(run with --fs {snapshot.fs_type})"
-                )
-        units: List[WorkUnit] = []
-        for benchmark in self.benchmarks:
-            for fs_type in dict.fromkeys(fs_types):
-                units.extend(
-                    benchmark_units(
-                        benchmark,
-                        fs_type,
-                        testbed=self.testbed,
-                        snapshot_path=self.snapshot_path,
-                        snapshot_fingerprint=fingerprint,
-                    )
-                )
-        return units
-
     def as_experiment(self, fs_types: Sequence[str] = DEFAULT_FS_TYPES) -> Experiment:
         """This suite as a declarative :class:`~repro.core.experiment.Experiment`.
 
@@ -274,9 +227,9 @@ class NanoBenchmarkSuite:
         aging snapshot when configured -- expanded workload-major exactly
         like the legacy serial loop.  Duplicate file system names are
         dropped (keeping first occurrence), matching the old behaviour where
-        a repeated ``--fs`` simply overwrote the same result cell.  Cells and
-        cache keys are identical to what :meth:`work_units` produces, so a
-        suite run and an equivalent experiment run share every cache entry.
+        a repeated ``--fs`` simply overwrote the same result cell.  A
+        snapshot that holds another file system's state is rejected when the
+        cells expand, before anything is measured.
         """
         if not fs_types:
             raise ValueError("fs_types must not be empty")
@@ -305,13 +258,11 @@ class NanoBenchmarkSuite:
         declares itself as an :class:`~repro.core.experiment.Experiment`
         (see :meth:`as_experiment`) and reassembles the familiar
         :class:`SuiteResult`; results and cache keys are bit-identical to
-        the pre-redesign path.  ``executor`` overrides the suite's own
-        executor (used by surveys that share one cache and worker pool
-        across several suites).
+        the pre-redesign path.  ``executor`` overrides the one the
+        experiment builds from ``n_workers`` and ``cache_dir`` (used by
+        surveys that share one cache and worker pool across several suites).
         """
-        outcome = self.as_experiment(fs_types).run(
-            executor=executor if executor is not None else self.make_executor()
-        )
+        outcome = self.as_experiment(fs_types).run(executor=executor)
         suite_result = SuiteResult(testbed=self.testbed)
         for benchmark in self.benchmarks:
             for fs_type in dict.fromkeys(fs_types):

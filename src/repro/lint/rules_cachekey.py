@@ -198,7 +198,7 @@ class CacheKeyHygieneRule(Rule):
 
 #: The module allowed to encode result documents, and its encoder functions.
 CANONICAL_MODULE_SUFFIX = "core/persistence.py"
-RESULT_ENCODERS = ("run_result_to_dict", "repetition_set_to_dict", "sweep_to_dict")
+RESULT_ENCODERS = ("run_result_to_dict",)
 WRAP_FUNCTION = "_wrap"
 SERIALIZERS = ("dump", "dumps")
 
@@ -251,8 +251,8 @@ class CanonicalEncoderRule(Rule):
                         tail,
                         "calls the persistence layer's private _wrap(): result "
                         "documents must be produced by its public encoders",
-                        hint="use canonical_run_payload/save_run_result (or the "
-                        "matching save_* function) from repro.core.persistence",
+                        hint="use canonical_run_payload/save_run_result "
+                        "from repro.core.persistence",
                     )
                 elif tail in RESULT_ENCODERS:
                     serializer = _enclosing_serializer_call(node)

@@ -479,9 +479,9 @@ class TestCacheKeyWithSnapshot:
         _, _, path = aged_ext2_snapshot
         suite = NanoBenchmarkSuite(testbed=TESTBED, quick=True, snapshot_path=path)
         with pytest.raises(ValueError, match="holds 'ext2' state"):
-            suite.work_units(["ext2", "xfs"])
+            suite.as_experiment(["ext2", "xfs"]).cells()
         # The matching file system alone is fine.
-        assert suite.work_units(["ext2"])
+        assert suite.as_experiment(["ext2"]).cells()
 
     def test_workunit_threads_fingerprint(self, aged_ext2_snapshot):
         _, _, path = aged_ext2_snapshot

@@ -19,16 +19,16 @@ import pytest
 
 from repro.core.benchmark import NanoBenchmark
 from repro.core.dimensions import Dimension, DimensionVector
+from repro.core.experiment import Experiment, ParameterGrid
 from repro.core.parallel import (
     ParallelExecutor,
     ResultCache,
     WorkUnit,
-    benchmark_units,
     cache_key,
     execute_unit,
 )
 from repro.core.persistence import run_result_to_dict
-from repro.core.results import RepetitionSet, merge_repetition_sets
+from repro.core.results import RepetitionSet
 from repro.core.runner import (
     BenchmarkConfig,
     BenchmarkRunner,
@@ -74,6 +74,17 @@ def dicts(repetitions: RepetitionSet):
     return [run_result_to_dict(run) for run in repetitions]
 
 
+def nano_experiment(benchmark, testbed, fs_types=("ext2",), **options):
+    """The one-benchmark experiment a suite declares for ``benchmark``."""
+    grid = ParameterGrid.of(workload=[benchmark], fs=list(fs_types))
+    return Experiment(grid, testbed=testbed, **options)
+
+
+def nano_units(benchmark, testbed, **options):
+    """Per-repetition work units of ``benchmark`` on ext2."""
+    return nano_experiment(benchmark, testbed, **options).work_units()
+
+
 class TestRunSingleRepetition:
     def test_matches_runner_run_once(self, testbed):
         config = quick_config()
@@ -84,7 +95,7 @@ class TestRunSingleRepetition:
         assert run_result_to_dict(direct) == run_result_to_dict(pure)
 
     def test_work_units_are_picklable(self, testbed, nano):
-        units = benchmark_units(nano, "ext2", testbed=testbed)
+        units = nano_units(nano, testbed)
         restored = pickle.loads(pickle.dumps(units))
         assert len(restored) == 3
         assert run_result_to_dict(execute_unit(restored[0])) == run_result_to_dict(
@@ -94,17 +105,14 @@ class TestRunSingleRepetition:
 
 class TestSerialParallelEquivalence:
     def test_parallel_is_bit_identical_to_serial(self, testbed, nano):
-        units = benchmark_units(nano, "ext2", testbed=testbed)
-        serial = ParallelExecutor(n_workers=1).run_repetition_sets(units)
-        parallel = ParallelExecutor(n_workers=2).run_repetition_sets(units)
+        serial = nano_experiment(nano, testbed, n_workers=1).run().sets
+        parallel = nano_experiment(nano, testbed, n_workers=2).run().sets
         assert serial.keys() == parallel.keys() == {"inmemory@ext2"}
         assert dicts(serial["inmemory@ext2"]) == dicts(parallel["inmemory@ext2"])
 
     def test_executor_path_matches_legacy_benchmark_run(self, testbed, nano):
         legacy = nano.run("ext2", testbed=testbed)
-        via_units = ParallelExecutor(n_workers=1).run_repetition_sets(
-            benchmark_units(nano, "ext2", testbed=testbed)
-        )["inmemory@ext2"]
+        via_units = nano_experiment(nano, testbed).run().sets["inmemory@ext2"]
         assert legacy.label == via_units.label
         assert dicts(legacy) == dicts(via_units)
 
@@ -144,12 +152,13 @@ class TestSerialParallelEquivalence:
             workload_factory=lambda: random_read_workload(next(sizes)),
             config=quick_config(repetitions=2),
         )
-        units = benchmark_units(bench, "ext2", testbed=testbed)
+        experiment = nano_experiment(bench, testbed, n_workers=2)
+        units = experiment.work_units()
         assert units[0].spec is units[1].spec
         serial = BenchmarkRunner(fs_type="ext2", testbed=testbed, config=bench.config).run(
             units[0].spec, label="varying@ext2"
         )
-        via_units = ParallelExecutor(n_workers=2).run_repetition_sets(units)["varying@ext2"]
+        via_units = experiment.run().sets["varying@ext2"]
         assert dicts(serial) == dicts(via_units)
 
     def test_duplicate_fs_types_collapse_like_the_serial_loop(self, testbed):
@@ -169,9 +178,7 @@ class TestSerialParallelEquivalence:
         )
 
     def test_noise_is_still_injected_per_repetition(self, testbed, nano):
-        runs = ParallelExecutor(n_workers=2).run_units(
-            benchmark_units(nano, "ext2", testbed=testbed)
-        )
+        runs = ParallelExecutor(n_workers=2).run_units(nano_units(nano, testbed))
         cpu_factors = {run.environment["cpu_speed_factor"] for run in runs}
         assert len(cpu_factors) == len(runs)
 
@@ -204,9 +211,9 @@ class TestCacheKey:
     def test_repetition_and_base_seed_normalise_to_effective_seed(self, testbed, nano):
         # Repetition 1 of a seed-42 run is the same measurement as
         # repetition 0 of a seed-43 run; they must share a cache entry.
-        units_42 = benchmark_units(nano, "ext2", testbed=testbed)
+        units_42 = nano_units(nano, testbed)
         shifted = replace(nano.config, seed=43)
-        units_43 = benchmark_units(nano, "ext2", testbed=testbed, config=shifted)
+        units_43 = nano_units(nano, testbed, config=shifted)
         assert units_42[1].key() == units_43[0].key()
         assert units_42[0].key() != units_43[0].key()
 
@@ -230,9 +237,9 @@ class TestCacheKey:
         return [cache_key(u.fs_type, u.spec, u.config, u.seed, u.testbed) for u in units]
 
     def test_scan_keys_of_interleaved_cells_are_fresh_keys(self, testbed, nano, scan_keys):
-        cell_a = benchmark_units(nano, "ext2", testbed=testbed)
+        cell_a = nano_units(nano, testbed)
         other = replace(nano, workload_factory=lambda: random_read_workload(4 * MiB))
-        cell_b = benchmark_units(other, "ext2", testbed=scaled_testbed(1.0 / 8.0))
+        cell_b = nano_units(other, scaled_testbed(1.0 / 8.0))
         units = [cell_a[0], cell_b[0], cell_a[1]]
         keys = scan_keys(units)
         assert keys == self.fresh_keys(units)
@@ -240,7 +247,7 @@ class TestCacheKey:
 
     def test_spec_mutated_between_scans_gets_a_fresh_key(self, testbed, nano, scan_keys):
         executor = ParallelExecutor()
-        units = benchmark_units(nano, "ext2", testbed=testbed)
+        units = nano_units(nano, testbed)
         before = scan_keys(units, executor)
         units[0].spec.threads += 1  # every unit of the cell shares the spec
         after = scan_keys(units, executor)
@@ -277,7 +284,7 @@ class TestCacheKey:
 class TestResultCache:
     def test_roundtrip(self, tmp_path, testbed, nano):
         cache = ResultCache(str(tmp_path))
-        unit = benchmark_units(nano, "ext2", testbed=testbed)[0]
+        unit = nano_units(nano, testbed)[0]
         run = execute_unit(unit)
         cache.put(unit.key(), run)
         loaded = cache.get(unit.key())
@@ -299,7 +306,7 @@ class TestResultCache:
         assert cache.stats.misses == 2
 
     def test_second_run_is_served_entirely_from_cache(self, tmp_path, testbed, nano):
-        units = benchmark_units(nano, "ext2", testbed=testbed)
+        units = nano_units(nano, testbed)
         cache = ResultCache(str(tmp_path))
         executor = ParallelExecutor(n_workers=1, cache=cache)
         fresh = executor.run_units(units)
@@ -313,7 +320,7 @@ class TestResultCache:
     def test_cache_entries_survive_process_boundaries_logically(self, tmp_path, testbed, nano):
         # A different executor (and worker count) over the same directory
         # still hits: the key depends only on measurement inputs.
-        units = benchmark_units(nano, "ext2", testbed=testbed)
+        units = nano_units(nano, testbed)
         ParallelExecutor(n_workers=2, cache=ResultCache(str(tmp_path))).run_units(units)
         cache = ResultCache(str(tmp_path))
         ParallelExecutor(n_workers=1, cache=cache).run_units(units)
@@ -322,22 +329,18 @@ class TestResultCache:
     def test_config_change_invalidates(self, tmp_path, testbed, nano):
         cache = ResultCache(str(tmp_path))
         executor = ParallelExecutor(n_workers=1, cache=cache)
-        executor.run_units(benchmark_units(nano, "ext2", testbed=testbed))
+        executor.run_units(nano_units(nano, testbed))
         longer = replace(nano.config, duration_s=0.75)
-        executor.run_units(
-            benchmark_units(nano, "ext2", testbed=testbed, config=longer)
-        )
+        executor.run_units(nano_units(nano, testbed, config=longer))
         assert cache.stats.hits == 0
         assert cache.stats.stores == 6
 
     def test_cached_repetition_index_is_relabelled(self, tmp_path, testbed, nano):
         cache = ResultCache(str(tmp_path))
         executor = ParallelExecutor(n_workers=1, cache=cache)
-        executor.run_units(benchmark_units(nano, "ext2", testbed=testbed))
+        executor.run_units(nano_units(nano, testbed))
         shifted = replace(nano.config, seed=nano.config.seed + 1, repetitions=2)
-        runs = executor.run_units(
-            benchmark_units(nano, "ext2", testbed=testbed, config=shifted)
-        )
+        runs = executor.run_units(nano_units(nano, testbed, config=shifted))
         # Seeds 43,44 were measured as repetitions 1,2 of the seed-42 run;
         # they come back relabelled as repetitions 0,1 of this run.
         assert cache.stats.hits == 2
@@ -346,9 +349,7 @@ class TestResultCache:
 
     def test_clear(self, tmp_path, testbed, nano):
         cache = ResultCache(str(tmp_path))
-        ParallelExecutor(n_workers=1, cache=cache).run_units(
-            benchmark_units(nano, "ext2", testbed=testbed)
-        )
+        ParallelExecutor(n_workers=1, cache=cache).run_units(nano_units(nano, testbed))
         assert len(cache) == 3
         assert cache.clear() == 3
         assert len(cache) == 0
@@ -395,24 +396,6 @@ class TestResultCache:
             ResultCache()
 
 
-class TestMergeHelpers:
-    def test_merge_shards_reassembles_serial_order(self, testbed, nano):
-        units = benchmark_units(nano, "ext2", testbed=testbed)
-        runs = ParallelExecutor(n_workers=1).run_units(units)
-        label = "inmemory@ext2"
-        shard_a = RepetitionSet(label=label, runs=[runs[2]])
-        shard_b = RepetitionSet(label=label, runs=[runs[0], runs[1]])
-        merged = merge_repetition_sets([shard_a, shard_b])
-        assert [run.repetition for run in merged] == [0, 1, 2]
-        assert dicts(merged) == [run_result_to_dict(run) for run in runs]
-
-    def test_merge_refuses_mixed_labels(self):
-        with pytest.raises(ValueError):
-            RepetitionSet(label="a").merge(RepetitionSet(label="b"))
-        with pytest.raises(ValueError):
-            merge_repetition_sets([])
-
-
 class TestMeasuredSurvey:
     def test_runs_and_renders(self, testbed):
         survey = MeasuredSurvey(testbed=testbed, quick=True, n_workers=1)
@@ -450,12 +433,12 @@ class TestMeasuredSurvey:
 
         cache_dir = str(tmp_path / "cache")
         first = build(cache_dir)
-        executor = first.suite.make_executor()
+        executor = first.suite.as_experiment(("ext2",)).make_executor()
         first.run(("ext2",), executor=executor)
         assert executor.cache.stats.stores == 2
 
         second = build(cache_dir)
-        executor = second.suite.make_executor()
+        executor = second.suite.as_experiment(("ext2",)).make_executor()
         second.run(("ext2",), executor=executor)
         assert (executor.cache.stats.hits, executor.cache.stats.misses) == (2, 0)
 
@@ -464,7 +447,7 @@ class TestExecutorEdgeCases:
     def test_invalid_config_fails_at_expansion_not_in_workers(self, testbed, nano):
         bad = replace(nano.config, repetitions=0)
         with pytest.raises(ValueError, match="repetitions"):
-            benchmark_units(nano, "ext2", testbed=testbed, config=bad)
+            nano_units(nano, testbed, config=bad)
 
     def test_duplicate_benchmark_names_rejected(self, testbed, nano):
         clone = NanoBenchmark(
@@ -478,7 +461,6 @@ class TestExecutorEdgeCases:
 
     def test_empty_unit_list(self):
         assert ParallelExecutor(n_workers=2).run_units([]) == []
-        assert ParallelExecutor(n_workers=2).run_repetition_sets([]) == {}
 
     def test_zero_workers_means_cpu_count(self):
         assert ParallelExecutor(n_workers=0).n_workers >= 1
@@ -487,11 +469,3 @@ class TestExecutorEdgeCases:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             ParallelExecutor(n_workers=-1)
-
-    def test_group_defaults_to_spec_and_fs(self, testbed):
-        spec = random_read_workload(MiB)
-        unit = WorkUnit(
-            fs_type="ext2", spec=spec, config=quick_config(repetitions=1), testbed=testbed
-        )
-        sets = ParallelExecutor(n_workers=1).run_repetition_sets([unit])
-        assert list(sets) == [f"{spec.name}@ext2"]

@@ -7,18 +7,11 @@ import pytest
 
 from repro.core.persistence import (
     FORMAT_NAME,
-    load_repetitions,
-    load_sweep,
-    repetition_set_from_dict,
-    repetition_set_to_dict,
+    load_run_result,
     run_result_from_dict,
     run_result_to_dict,
-    save_repetitions,
-    save_sweep,
-    sweep_from_dict,
-    sweep_to_dict,
+    save_run_result,
 )
-from repro.core.results import RepetitionSet, SweepResult
 from repro.core.runner import BenchmarkConfig, BenchmarkRunner, EnvironmentNoise, WarmupMode
 from repro.storage.config import scaled_testbed
 from repro.workloads.micro import random_read_workload
@@ -27,18 +20,8 @@ from tests.test_results_and_runner import make_run
 MiB = 1024 * 1024
 
 
-def small_repetitions(n=3) -> RepetitionSet:
-    repetitions = RepetitionSet(label="unit")
-    for i in range(n):
-        repetitions.add(make_run(100.0 + i, repetition=i, latencies=[1000.0 * (i + 1)] * 5))
-    return repetitions
-
-
-def small_sweep() -> SweepResult:
-    sweep = SweepResult(parameter_name="file_size", unit="bytes")
-    sweep.add(64.0, small_repetitions())
-    sweep.add(128.0, small_repetitions())
-    return sweep
+def small_run():
+    return make_run(100.0, repetition=1, latencies=[1000.0, 2000.0, 3000.0])
 
 
 class TestDictRoundTrips:
@@ -51,63 +34,43 @@ class TestDictRoundTrips:
         assert restored.histogram.mean_ns() == pytest.approx(original.histogram.mean_ns())
         assert restored.mean_latency_ns == pytest.approx(original.mean_latency_ns)
 
-    def test_repetition_set_round_trip_preserves_summary(self):
-        original = small_repetitions()
-        restored = repetition_set_from_dict(repetition_set_to_dict(original))
-        assert restored.label == original.label
-        assert restored.throughputs() == original.throughputs()
-        assert restored.throughput_summary().mean == pytest.approx(
-            original.throughput_summary().mean
-        )
-
-    def test_sweep_round_trip_preserves_analysis_inputs(self):
-        original = small_sweep()
-        restored = sweep_from_dict(sweep_to_dict(original))
-        assert restored.parameters() == original.parameters()
-        assert restored.mean_throughputs() == original.mean_throughputs()
-        assert restored.fragility() == pytest.approx(original.fragility())
-
 
 class TestFileRoundTrips:
-    def test_save_and_load_repetitions_via_file_object(self):
+    def test_save_and_load_run_result_via_file_object(self):
         buffer = io.StringIO()
-        save_repetitions(small_repetitions(), buffer)
+        save_run_result(small_run(), buffer)
         buffer.seek(0)
         document = json.loads(buffer.getvalue())
         assert document["format"] == FORMAT_NAME
+        assert document["kind"] == "run_result"
         buffer.seek(0)
-        restored = load_repetitions(buffer)
-        assert len(restored) == 3
-
-    def test_save_and_load_sweep_via_path(self, tmp_path):
-        path = str(tmp_path / "sweep.json")
-        save_sweep(small_sweep(), path)
-        restored = load_sweep(path)
-        assert restored.parameters() == [64.0, 128.0]
+        restored = load_run_result(buffer)
+        assert run_result_to_dict(restored) == run_result_to_dict(small_run())
 
     def test_wrong_kind_rejected(self):
         buffer = io.StringIO()
-        save_sweep(small_sweep(), buffer)
-        buffer.seek(0)
-        with pytest.raises(ValueError):
-            load_repetitions(buffer)
+        save_run_result(small_run(), buffer)
+        document = json.loads(buffer.getvalue())
+        document["kind"] = "repetition_set"
+        with pytest.raises(ValueError, match="run_result"):
+            load_run_result(io.StringIO(json.dumps(document)))
 
     def test_wrong_format_rejected(self):
         buffer = io.StringIO(json.dumps({"format": "something-else", "data": {}}))
         with pytest.raises(ValueError):
-            load_sweep(buffer)
+            load_run_result(buffer)
 
     def test_newer_version_rejected(self):
         buffer = io.StringIO(
-            json.dumps({"format": FORMAT_NAME, "version": 999, "kind": "sweep", "data": {}})
+            json.dumps({"format": FORMAT_NAME, "version": 999, "kind": "run_result", "data": {}})
         )
-        with pytest.raises(ValueError):
-            load_sweep(buffer)
+        with pytest.raises(ValueError, match="newer"):
+            load_run_result(buffer)
 
 
 class TestEndToEndPersistence:
     def test_real_benchmark_result_survives_a_round_trip(self, tmp_path):
-        """A measured repetition set can be archived and re-analysed identically."""
+        """Measured repetitions can be archived and re-analysed identically."""
         config = BenchmarkConfig(
             duration_s=0.5,
             repetitions=2,
@@ -120,13 +83,15 @@ class TestEndToEndPersistence:
         runner = BenchmarkRunner("ext2", testbed=scaled_testbed(1.0 / 16.0), config=config)
         measured = runner.run(random_read_workload(2 * MiB))
 
-        path = str(tmp_path / "results.json")
-        save_repetitions(measured, path)
-        restored = load_repetitions(path)
+        restored = []
+        for run in measured:
+            path = str(tmp_path / f"rep{run.repetition}.json")
+            save_run_result(run, path)
+            restored.append(load_run_result(path))
 
-        assert restored.throughputs() == measured.throughputs()
+        assert [run.throughput_ops_s for run in restored] == measured.throughputs()
         original_run = measured.first()
-        restored_run = restored.first()
+        restored_run = restored[0]
         assert restored_run.operations == original_run.operations
         assert restored_run.timeline.throughputs() == original_run.timeline.throughputs()
         assert restored_run.histogram_timeline is not None
