@@ -109,6 +109,10 @@ from repro.storage.device import SCHEDULER_REGISTRY
 DEVICE_CHOICES = DEFAULT_DEVICE_KINDS
 SCHEDULER_CHOICES = tuple(SCHEDULER_REGISTRY)
 
+#: The commands whose harness takes an ``ExperimentScale``; ``--paper-scale``
+#: with any other command is a usage error.
+PAPER_SCALE_COMMANDS = ("figure1", "figure2", "figure3", "figure4", "zoom")
+
 #: Progress/diagnostics logger.  Everything here goes to stderr so stdout
 #: stays machine-consumable (result tables, rendered reports, JSONL paths).
 logger = logging.getLogger("fsbench-rocket")
@@ -263,7 +267,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--paper-scale",
         action="store_true",
-        help="use the paper's full durations and repetition counts (slower)",
+        help=(
+            "use the paper's full durations and repetition counts (slower; "
+            f"{', '.join(PAPER_SCALE_COMMANDS)} only)"
+        ),
     )
     parser.add_argument(
         "-v",
@@ -866,14 +873,22 @@ def _run_experiment(args) -> int:
 
 
 def _single_cell(args, name: str):
-    """Resolve ``--axis`` flags into exactly one experiment cell.
+    """Resolve ``--axis`` flags into the one experiment cell they name.
 
     Shared by ``trace`` and ``explain``, which attribute one measurement at
-    a time; multi-valued axes are a usage error, not an implicit loop.
+    a time.  An axis with several values is a usage error, not an implicit
+    loop -- a ``seed`` axis included: its values pool into one cell's
+    repetitions, of which only the first would be measured.
     """
     axes = {}
     for axis_name, values in args.axis:
         axes.setdefault(axis_name, []).extend(values)
+    multi_valued = [axis_name for axis_name, values in axes.items() if len(values) > 1]
+    if multi_valued:
+        raise ValueError(
+            f"{name} measures one repetition, but --axis {', '.join(multi_valued)} "
+            "names several values; pin every --axis to a single value"
+        )
     axes.setdefault("fs", ["ext2"])
     axes.setdefault("workload", ["random-read-cached"])
     testbed = (
@@ -881,14 +896,8 @@ def _single_cell(args, name: str):
         if args.scaled_testbed is not None
         else paper_testbed()
     )
-    experiment = Experiment(grid=ParameterGrid(axes), name=name, testbed=testbed)
-    cells = experiment.cells()
-    if len(cells) != 1:
-        raise ValueError(
-            f"{name} needs exactly one cell, got {len(cells)}; "
-            "pin every --axis to a single value"
-        )
-    return cells[0]
+    (cell,) = Experiment(grid=ParameterGrid(axes), name=name, testbed=testbed).cells()
+    return cell
 
 
 def _run_trace(args) -> int:
@@ -1086,6 +1095,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     _configure_logging(args)
+    if args.paper_scale and args.command not in PAPER_SCALE_COMMANDS:
+        # Only these harnesses take a scale; silently ignoring the flag
+        # would look like the paper's protocol ran.
+        print(
+            f"fsbench-rocket: error: --paper-scale applies only to "
+            f"{', '.join(PAPER_SCALE_COMMANDS)}, not {args.command}",
+            file=sys.stderr,
+        )
+        return 2
     scale = paper_scale() if args.paper_scale else default_scale()
 
     if args.command == "list":

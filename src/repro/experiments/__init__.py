@@ -5,11 +5,12 @@ corresponding experiment in Section 3 of the paper (or the survey behind
 Table 1), runs it on the simulated stack and returns a result object that can
 render itself as text and check the paper's qualitative claims against the
 measured data.  The ``benchmarks/`` directory exposes each harness through
-pytest-benchmark, and ``EXPERIMENTS.md`` records paper-vs-measured values.
+pytest-benchmark.
 
-All harnesses accept ``paper_scale=True`` to run the original durations and
-repetition counts; the defaults are shortened so the full set regenerates in
-minutes.
+The Figure 1-4 and transition-zoom harnesses take a ``scale``:
+:func:`paper_scale` runs the original durations and repetition counts, and
+the default, :func:`default_scale`, is shortened so the full set regenerates
+in minutes.
 
 Since the experiment-API redesign every harness is a thin deprecation shim
 over :class:`repro.core.experiment.Experiment`; ``EXPERIMENT_REGISTRY`` maps

@@ -1,8 +1,9 @@
 """Shared experiment scaling.
 
 The paper's protocol (20-minute runs, 10 repetitions, 16 file sizes) is
-faithful but slow to simulate in full on every benchmark run.  Every harness
-therefore takes an :class:`ExperimentScale` with two presets:
+faithful but slow to simulate in full on every benchmark run.  The Figure 1-4
+and transition-zoom harnesses therefore take an :class:`ExperimentScale` with
+two presets:
 
 * :func:`default_scale` -- shortened measured windows and fewer repetitions;
   the *shape* of every figure is preserved (the physics does not depend on

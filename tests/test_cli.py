@@ -3,6 +3,11 @@
 import pytest
 
 import repro.cli as cli
+from repro.core.runner import BenchmarkRunner
+
+
+def _no_measurement(*args, **kwargs):
+    raise AssertionError("a usage error must stop the command before anything is measured")
 
 
 class TestParser:
@@ -57,6 +62,14 @@ class TestFigureCommands:
         )
         cli.main(["--paper-scale", "figure3"])
         assert captured["scale"].name == "paper"
+
+    @pytest.mark.parametrize("argv", [["suite", "--quick"], ["run"]])
+    def test_paper_scale_is_rejected_where_no_harness_takes_a_scale(
+        self, monkeypatch, capsys, argv
+    ):
+        monkeypatch.setattr(BenchmarkRunner, "run_once", _no_measurement)
+        assert cli.main(["--paper-scale", *argv]) == 2
+        assert "figure1, figure2, figure3, figure4, zoom" in capsys.readouterr().err
 
     def test_figure2_default_filesystems(self, monkeypatch):
         captured = {}
@@ -215,3 +228,15 @@ class TestSsdSteadyCommand:
     def test_unknown_workload_is_a_usage_error(self, capsys):
         assert cli.main(["ssd-steady", "--quick", "--workload", "no-such-workload"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestSingleCellCommands:
+    """``trace`` and ``explain`` measure one repetition of one cell."""
+
+    @pytest.mark.parametrize("command", ["trace", "explain"])
+    @pytest.mark.parametrize("axis", ["seed=0..3", "fs=ext2,xfs"])
+    def test_a_multi_valued_axis_is_a_usage_error(self, monkeypatch, capsys, command, axis):
+        monkeypatch.setattr(BenchmarkRunner, "run_once", _no_measurement)
+        argv = [command, "--axis", "workload=random-read-cached", "--axis", axis]
+        assert cli.main([*argv, "--scaled-testbed", "0.0625"]) == 2
+        assert "pin every --axis to a single value" in capsys.readouterr().err
