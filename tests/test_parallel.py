@@ -74,9 +74,9 @@ def dicts(repetitions: RepetitionSet):
     return [run_result_to_dict(run) for run in repetitions]
 
 
-def nano_experiment(benchmark, testbed, fs_types=("ext2",), **options):
-    """The one-benchmark experiment a suite declares for ``benchmark``."""
-    grid = ParameterGrid.of(workload=[benchmark], fs=list(fs_types))
+def nano_experiment(benchmark, testbed, **options):
+    """The experiment a suite declares for ``benchmark`` on ext2."""
+    grid = ParameterGrid.of(workload=[benchmark], fs=["ext2"])
     return Experiment(grid, testbed=testbed, **options)
 
 
