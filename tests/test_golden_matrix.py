@@ -10,8 +10,8 @@ A second matrix pins the measurement protocol itself: every warm-up mode
 with one client and with three, and one timed four-client window whose
 throughput and histogram timelines are both cut back to complete intervals.
 A change meant to keep results byte-identical -- an index, a maintained
-counter, a faster scan, one driver in place of two -- must leave every hash
-here unchanged.
+counter, a faster scan, one repetition loop in place of two -- must leave
+every hash here unchanged.
 """
 
 from __future__ import annotations
@@ -111,7 +111,9 @@ WARMUPS = {
     "none": {"warmup_mode": WarmupMode.NONE},
     "prewarm": {"warmup_mode": WarmupMode.PREWARM},
     "duration": {"warmup_mode": WarmupMode.DURATION, "warmup_s": 0.5},
-    "steady_state": {"warmup_mode": WarmupMode.STEADY_STATE, "max_warmup_s": 3.0, "interval_s": 0.25},
+    "steady_state": {
+        "warmup_mode": WarmupMode.STEADY_STATE, "max_warmup_s": 3.0, "interval_s": 0.25,
+    },
 }
 PROTOCOL_CONFIG = replace(CONFIG, max_ops=400)
 #: A 2 s window with four clients ends past its last complete 0.5 s interval,
@@ -145,7 +147,7 @@ def _protocol_cells():
 
 PROTOCOL_CELLS = _protocol_cells()
 
-# Computed while one client and several clients still had separate drivers.
+# Computed while one client and several clients still had separate run_once paths.
 GOLDEN_PROTOCOL_SHA256 = {
     "ext4/postmark/c1/duration": "a1c8a73c049a58973db31670062228617df2524f1e3e20eaa15771c0735f6c6a",
     "ext4/postmark/c1/none": "d6f3de13dc2cf5c527c4f7da53b7dd772a638e6d1ea9557f9eb72f7d39e11f42",
