@@ -13,7 +13,6 @@ measures how the relative standard deviation spikes inside it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -91,17 +90,10 @@ def run_transition_zoom(
 ) -> TransitionZoomResult:
     """Locate the Figure-1 cliff, bisect it, and sweep finely across it.
 
-    .. deprecated:: 1.3
-        Thin shim: every measurement is one single-cell
-        :class:`~repro.core.experiment.Experiment` run (the zoom is adaptive,
-        so the grid is built one point at a time).
+    Every measurement is one single-cell
+    :class:`~repro.core.experiment.Experiment` run (the zoom is adaptive, so
+    the grid is built one point at a time).
     """
-    warnings.warn(
-        "run_transition_zoom is a deprecation shim; drive single-cell "
-        "Experiments from your own bisection instead (repro.core.experiment)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
     scale = scale if scale is not None else default_scale()
     scale.validate()
     testbed = testbed if testbed is not None else paper_testbed()
@@ -129,13 +121,14 @@ def run_transition_zoom(
             label=f"zoom-{int(size_bytes) // MiB}MB", runs=list(repetitions.runs)
         )
 
-    # Coarse sweep bracketing the expected cliff (cache capacity +/- 64 MB).
+    # Coarse sweep bracketing the expected cliff (cache capacity +/- 64 MB);
+    # a cache of 64 MB or less has no room for the sizes below it.
     cache_bytes = testbed.page_cache_bytes
-    coarse_sizes = [cache_bytes - 64 * MiB, cache_bytes - 32 * MiB, cache_bytes,
-                    cache_bytes + 32 * MiB, cache_bytes + 64 * MiB]
     coarse = SweepResult(parameter_name="file_size", unit="bytes")
-    for size in coarse_sizes:
-        coarse.add(size, measure(size))
+    for offset_mb in (-64, -32, 0, 32, 64):
+        size = cache_bytes + offset_mb * MiB
+        if size > 0:
+            coarse.add(size, measure(size))
 
     coarse_region = find_transition(coarse)
     refined_region = None

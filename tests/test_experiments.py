@@ -13,6 +13,7 @@ from repro.experiments import (
     run_figure3,
     run_figure4,
     run_table1,
+    run_transition_zoom,
 )
 from repro.experiments.config import ExperimentScale, default_scale, paper_scale, quick_scale
 from repro.storage.config import scaled_testbed
@@ -147,6 +148,21 @@ class TestFigure4Harness:
         migration = result.peak_migration()
         assert migration[0][1] > migration[-1][1]  # disk fraction shrinks
         assert "Figure 4" in result.render()
+
+
+class TestTransitionZoomHarness:
+    def test_locates_the_cliff_of_a_cache_smaller_than_the_coarse_sweep(self):
+        # A ~25.6 MiB cache leaves no room for the coarse sizes 32 and 64 MiB
+        # below it; the zoom sweeps the sizes that exist.
+        testbed = scaled_testbed(1.0 / 16.0)
+        cache_bytes = testbed.page_cache_bytes
+        result = run_transition_zoom(
+            fs_type="ext2", testbed=testbed, scale=tiny_scale(), seed=3
+        )
+        assert all(result.checks().values()), result.checks()
+        region = result.refined_region
+        assert region.parameter_low <= cache_bytes * 1.25
+        assert region.parameter_high >= cache_bytes * 0.75
 
 
 class TestTable1Harness:
