@@ -12,10 +12,9 @@ The Figure 1-4 and transition-zoom harnesses take a ``scale``:
 the default, :func:`default_scale`, is shortened so the full set regenerates
 in minutes.
 
-Since the experiment-API redesign every harness is a thin deprecation shim
-over :class:`repro.core.experiment.Experiment`; ``EXPERIMENT_REGISTRY`` maps
-the stable harness names (as printed by ``fsbench-rocket list``) to those
-shims.
+Every harness runs on :class:`repro.core.experiment.Experiment` and is the
+paper's entry point for its figure or table; ``EXPERIMENT_REGISTRY`` maps the
+stable harness names (as printed by ``fsbench-rocket list``) to them.
 """
 
 from repro.experiments.config import ExperimentScale, default_scale, paper_scale

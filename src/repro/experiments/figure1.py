@@ -14,7 +14,6 @@ paper's observations this harness must reproduce:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -141,18 +140,9 @@ def run_figure1(
 ) -> Figure1Result:
     """Run the Figure 1 sweep and return its result object.
 
-    .. deprecated:: 1.3
-        Thin shim over the declarative experiment API: the sweep is one
-        :class:`~repro.core.experiment.Experiment` with a workload axis of
-        per-size random-read specs.  Declare the grid directly for anything
-        beyond regenerating the paper's figure.
+    The sweep is one :class:`~repro.core.experiment.Experiment` with a
+    workload axis of per-size random-read specs.
     """
-    warnings.warn(
-        "run_figure1 is a deprecation shim; declare an Experiment with a "
-        "workload axis of per-size specs instead (repro.core.experiment)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
     scale = scale if scale is not None else default_scale()
     scale.validate()
     testbed = testbed if testbed is not None else paper_testbed()

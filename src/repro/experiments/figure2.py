@@ -13,7 +13,6 @@ recorded every 10 seconds from a cold cache.  The paper's observations:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -152,12 +151,6 @@ def run_figure2(
     the default regeneration stays fast while preserving the curve's shape;
     ``paper_scale()`` uses the full 512 MB machine and its 410 MB file.
     """
-    warnings.warn(
-        "run_figure2 is a deprecation shim; declare an Experiment with an fs "
-        "axis instead (repro.core.experiment)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
     scale = scale if scale is not None else default_scale()
     scale.validate()
     if testbed is None:

@@ -15,7 +15,6 @@ sizes spanning the working-set spectrum.  The paper's observations:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -107,16 +106,9 @@ def run_figure3(
 ) -> Figure3Result:
     """Collect the Figure 3 latency histograms.
 
-    .. deprecated:: 1.3
-        Thin shim over one :class:`~repro.core.experiment.Experiment` with a
-        per-size workload axis.
+    The histograms come from one :class:`~repro.core.experiment.Experiment`
+    with a per-size workload axis.
     """
-    warnings.warn(
-        "run_figure3 is a deprecation shim; declare an Experiment with a "
-        "workload axis of per-size specs instead (repro.core.experiment)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
     scale = scale if scale is not None else default_scale()
     scale.validate()
     testbed = testbed if testbed is not None else paper_testbed()

@@ -13,7 +13,6 @@ in the cache), started cold, with a latency histogram collected for every
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -128,16 +127,8 @@ def run_figure4(
 ) -> Figure4Result:
     """Run the histogram-over-time experiment.
 
-    .. deprecated:: 1.3
-        Thin shim over a single-cell
-        :class:`~repro.core.experiment.Experiment`.
+    The run is one single-cell :class:`~repro.core.experiment.Experiment`.
     """
-    warnings.warn(
-        "run_figure4 is a deprecation shim; declare an Experiment instead "
-        "(repro.core.experiment)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
     scale = scale if scale is not None else default_scale()
     scale.validate()
     testbed = testbed if testbed is not None else paper_testbed()

@@ -108,10 +108,9 @@ def run_table1(
     When ``measured_fs_types`` is given, also run the measured survey across
     those file systems (the table's executable counterpart) and attach it to
     the result; the remaining parameters configure that run exactly as they
-    do :class:`~repro.core.survey.MeasuredSurvey`.  Since the experiment-API
-    redesign the measured counterpart executes as a declarative
-    :class:`~repro.core.experiment.Experiment` (survey -> suite ->
-    ``as_experiment``); this function is the thin compatibility shim over it.
+    do :class:`~repro.core.survey.MeasuredSurvey`.  The measured counterpart
+    executes as a declarative :class:`~repro.core.experiment.Experiment`
+    (survey -> suite -> ``as_experiment``).
     """
     database = load_paper_survey()
     measured = None

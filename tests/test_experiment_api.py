@@ -450,10 +450,10 @@ class TestResultFrame:
         assert len(a + b) == 2
 
 
-class TestDeprecationShims:
-    """The legacy entry points still work -- as declared shims."""
+class TestHarnessEntryPoints:
+    """The paper's harness entry points run on the Experiment API."""
 
-    def test_run_figure1_warns_and_delegates(self, testbed):
+    def test_run_figure1_delegates_to_an_experiment(self, testbed):
         from repro.experiments import run_figure1
         from repro.experiments.config import ExperimentScale
 
@@ -471,20 +471,18 @@ class TestDeprecationShims:
             figure4_file_mb=20,
             interval_s=5.0,
         )
-        with pytest.warns(DeprecationWarning, match="Experiment"):
-            result = run_figure1(fs_type="ext2", testbed=testbed, scale=scale, seed=3)
+        result = run_figure1(fs_type="ext2", testbed=testbed, scale=scale, seed=3)
         assert len(result.rows()) == 2
         frame = result.to_frame()
         assert frame.filter(metric="throughput_ops_s", file_size_mb=2).summary().n == 2
 
-    def test_run_aged_vs_fresh_shim_uses_snapshot_axis(self):
+    def test_run_aged_vs_fresh_uses_snapshot_axis(self):
         # Covered end-to-end by tests/test_aging.py; here we only assert the
-        # shim is declared deprecated without paying for an aging run.
+        # harness declares a grid without paying for an aging run.
         import inspect
 
         from repro.aging.experiment import run_aged_vs_fresh
 
-        assert "deprecation shim" in inspect.getsource(run_aged_vs_fresh)
         assert "ParameterGrid.of" in inspect.getsource(run_aged_vs_fresh)
 
     def test_suite_as_experiment_roundtrip(self, testbed, benchmarks):

@@ -12,9 +12,9 @@ import pytest
 
 from repro.core.runner import BenchmarkConfig, WarmupMode, run_single_repetition
 from repro.fs.stack import build_stack
+from repro.storage import config as storage_config
 from repro.storage.config import (
     DEVICE_REGISTRY,
-    TestbedConfig,
     scaled_testbed,
     ssd_ftl_testbed,
     ssd_testbed,
@@ -397,7 +397,7 @@ class TestDeviceRegistry:
 
     def test_unknown_kind_still_rejected(self):
         with pytest.raises(ValueError):
-            TestbedConfig(device_kind="nvme-zns").validate()
+            storage_config.TestbedConfig(device_kind="nvme-zns").validate()
 
 
 class TestDiscardThroughTheStack:

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.storage import config as storage_config
 from repro.storage.cache import CachePolicy
 from repro.storage.config import (
     CpuCosts,
-    TestbedConfig,
     paper_testbed,
     scaled_testbed,
     ssd_testbed,
@@ -55,17 +55,17 @@ class TestScaledTestbed:
 
 class TestValidation:
     def test_os_reservation_must_fit_in_ram(self):
-        config = TestbedConfig(ram_bytes=100 * MiB, os_reserved_bytes=200 * MiB)
+        config = storage_config.TestbedConfig(ram_bytes=100 * MiB, os_reserved_bytes=200 * MiB)
         with pytest.raises(ValueError):
             config.validate()
 
     def test_page_size_must_be_power_of_two(self):
-        config = TestbedConfig(page_size=3000)
+        config = storage_config.TestbedConfig(page_size=3000)
         with pytest.raises(ValueError):
             config.validate()
 
     def test_unknown_device_kind_rejected(self):
-        config = TestbedConfig(device_kind="tape")
+        config = storage_config.TestbedConfig(device_kind="tape")
         with pytest.raises(ValueError):
             config.validate()
 
@@ -78,7 +78,7 @@ class TestBuilders:
     def test_build_device_models(self):
         assert isinstance(paper_testbed().build_device_model(), MechanicalDisk)
         assert isinstance(ssd_testbed().build_device_model(), SolidStateDisk)
-        ram_config = TestbedConfig(device_kind="ramdisk")
+        ram_config = storage_config.TestbedConfig(device_kind="ramdisk")
         assert isinstance(ram_config.build_device_model(), RamDisk)
 
     def test_build_page_cache_sized_from_memory(self):
