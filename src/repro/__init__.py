@@ -6,13 +6,13 @@ Python library:
 
 * :mod:`repro.core` -- the benchmarking methodology the paper calls for:
   dimension taxonomy, nano-benchmark suite, statistically honest runners,
-  latency histograms, timelines, steady-state detection, self-scaling sweeps,
-  range-based reporting, the Table-1 survey database and its measured
-  counterpart, the parallel executor + persistent result cache that fan
-  surveys out over processes with bit-identical results, and the declarative
+  latency histograms, timelines, steady-state detection, range-based
+  reporting, the Table-1 survey database and its measured counterpart, the
+  parallel executor + persistent result cache that fan surveys out over
+  processes with bit-identical results, and the declarative
   :class:`~repro.core.experiment.Experiment` API (parameter grids over named
   axes, tidy :class:`~repro.core.frame.ResultFrame` results) that every
-  legacy harness now shims onto.
+  harness runs on.
 * :mod:`repro.storage` -- the simulated storage substrate (virtual clock,
   disk/SSD models including the stateful page-mapped FTL with garbage
   collection and TRIM, page cache, readahead, block layer).
@@ -65,7 +65,6 @@ from repro.core import (
     ResultCache,
     ResultFrame,
     RunResult,
-    SelfScalingBenchmark,
     SummaryStatistics,
     SurveyDatabase,
     SweepResult,
@@ -133,7 +132,6 @@ __all__ = [
     "NanoBenchmarkSuite",
     "RepetitionSet",
     "RunResult",
-    "SelfScalingBenchmark",
     "SummaryStatistics",
     "SurveyDatabase",
     "SweepResult",

@@ -5,7 +5,9 @@ narrower region -- less than 6 MB in size") are both statements about where,
 and how abruptly, a sweep's throughput collapses.  :func:`find_transition`
 extracts that from a finished :class:`~repro.core.results.SweepResult`;
 :func:`refine_transition` runs additional measurements to narrow the region,
-bisection style, the way the authors zoomed in.
+bisection style, the way the authors zoomed in.  Together they are the
+package's one cliff locator; :func:`~repro.experiments.run_transition_zoom`
+drives them with every measurement an ``Experiment`` run.
 """
 
 from __future__ import annotations

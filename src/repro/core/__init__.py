@@ -27,8 +27,6 @@ subpackage is that methodology as a library:
   analysis layer's lingua franca.
 * :mod:`repro.core.benchmark`, :mod:`repro.core.suite` -- nano-benchmarks and
   the multi-dimensional suite the paper calls for.
-* :mod:`repro.core.selfscaling` -- self-scaling parameter sweeps that locate
-  the memory/disk transition automatically.
 * :mod:`repro.core.report` -- multi-dimensional, range-based reporting.
 * :mod:`repro.core.survey` -- the benchmark-usage survey behind Table 1.
 """
@@ -74,7 +72,6 @@ from repro.core.steady_state import SteadyStateDetector, detect_steady_state, tr
 from repro.core.timeline import HistogramTimeline, IntervalSeries
 from repro.core.benchmark import NanoBenchmark
 from repro.core.suite import NanoBenchmarkSuite, SuiteResult, default_suite
-from repro.core.selfscaling import SelfScalingBenchmark, SelfScalingResult
 from repro.core.report import ReportBuilder, ascii_plot, format_table
 from repro.core.survey import (
     BenchmarkEntry,
@@ -123,8 +120,6 @@ __all__ = [
     "NanoBenchmarkSuite",
     "SuiteResult",
     "default_suite",
-    "SelfScalingBenchmark",
-    "SelfScalingResult",
     "ReportBuilder",
     "ascii_plot",
     "format_table",

@@ -1,11 +1,10 @@
-"""Tests for NanoBenchmark, the suite, and self-scaling sweeps."""
+"""Tests for NanoBenchmark and the suite."""
 
 import pytest
 
 from repro.core.benchmark import NanoBenchmark
 from repro.core.dimensions import Dimension, DimensionVector
 from repro.core.runner import BenchmarkConfig, EnvironmentNoise, WarmupMode
-from repro.core.selfscaling import SelfScalingBenchmark
 from repro.core.suite import NanoBenchmarkSuite, default_suite
 from repro.storage.config import scaled_testbed
 from repro.workloads.micro import random_read_workload
@@ -115,57 +114,3 @@ class TestSuiteRun:
         suite = NanoBenchmarkSuite(testbed=scaled_testbed(1.0 / 16.0), quick=True)
         with pytest.raises(ValueError):
             suite.run(fs_types=())
-
-
-class TestSelfScaling:
-    def test_locates_the_cache_cliff(self):
-        testbed = scaled_testbed(1.0 / 16.0)
-        cache_bytes = testbed.page_cache_bytes
-        benchmark = SelfScalingBenchmark(
-            workload_for_parameter=lambda size: random_read_workload(int(size)),
-            fs_type="ext2",
-            testbed=testbed,
-            config=quick_protocol(),
-            parameter_name="file_size",
-            unit="bytes",
-        )
-        result = benchmark.run(
-            low=cache_bytes * 0.5,
-            high=cache_bytes * 2.0,
-            coarse_points=5,
-            resolution=cache_bytes * 0.05,
-        )
-        assert result.transition_low is not None
-        # The located transition must straddle (or closely bracket) the cache size.
-        assert result.transition_low <= cache_bytes * 1.25
-        assert result.transition_high >= cache_bytes * 0.75
-        assert result.evaluations >= 5
-        assert result.sweep.dynamic_range() > 5
-        assert "Transition" in result.describe("bytes")
-
-    def test_no_transition_on_flat_region(self):
-        testbed = scaled_testbed(1.0 / 16.0)
-        benchmark = SelfScalingBenchmark(
-            workload_for_parameter=lambda size: random_read_workload(int(size)),
-            fs_type="ext2",
-            testbed=testbed,
-            config=quick_protocol(),
-        )
-        cache_bytes = testbed.page_cache_bytes
-        result = benchmark.run(
-            low=cache_bytes * 0.1, high=cache_bytes * 0.4, coarse_points=4
-        )
-        assert result.transition_low is None
-        assert "No sharp transition" in result.describe()
-
-    def test_invalid_arguments(self):
-        benchmark = SelfScalingBenchmark(
-            workload_for_parameter=lambda size: random_read_workload(int(size)),
-            config=quick_protocol(),
-        )
-        with pytest.raises(ValueError):
-            benchmark.run(low=10, high=5)
-        with pytest.raises(ValueError):
-            benchmark.run(low=1, high=10, coarse_points=2)
-        with pytest.raises(ValueError):
-            SelfScalingBenchmark(lambda s: None, drop_threshold=1.5)
