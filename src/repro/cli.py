@@ -57,7 +57,7 @@ any checkout can mount as a read-through cache tier::
         --pack campaign.frpack
     fsbench-rocket cache .fsbench-cache   # inspect / integrity-scan / --clear
 
-The legacy harness commands remain as shims over the same engine::
+The paper's harness commands run on the same engine::
 
     fsbench-rocket table1 [--measured --quick]
     fsbench-rocket figure1 --fs ext2
@@ -108,10 +108,6 @@ from repro.storage.device import SCHEDULER_REGISTRY
 #: ``list`` output) automatically.
 DEVICE_CHOICES = DEFAULT_DEVICE_KINDS
 SCHEDULER_CHOICES = tuple(SCHEDULER_REGISTRY)
-
-#: The commands whose harness takes an ``ExperimentScale``; ``--paper-scale``
-#: with any other command is a usage error.
-PAPER_SCALE_COMMANDS = ("figure1", "figure2", "figure3", "figure4", "zoom")
 
 #: Progress/diagnostics logger.  Everything here goes to stderr so stdout
 #: stays machine-consumable (result tables, rendered reports, JSONL paths).
@@ -287,8 +283,78 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
+    # Flags shared by several subcommands, each defined once in a parent
+    # parser that those subcommands inherit.
+    def flag_group() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
+
+    testbed = flag_group()
+    testbed.add_argument(
+        "--scaled-testbed",
+        type=_testbed_fraction,
+        default=None,
+        metavar="FRACTION",
+        help="shrink the simulated machine by this factor (e.g. 0.125)",
+    )
+    execution = flag_group()
+    execution.add_argument(
+        "--workers",
+        type=_nonnegative_int,
+        default=1,
+        metavar="N",
+        help="worker processes for the fan-out (0 = one per CPU; default 1, serial)",
+    )
+    execution.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="persist measured cells here and skip them on re-runs (default: no cache)",
+    )
+    no_cache = flag_group()
+    no_cache.add_argument(
+        "--no-cache", action="store_true", help="ignore --cache-dir and measure everything fresh"
+    )
+    quick = flag_group()
+    quick.add_argument(
+        "--quick",
+        action="store_true",
+        help="CI-sized run: shorter protocol, smaller filesets, fewer repetitions",
+    )
+    pack = flag_group()
+    pack.add_argument(
+        "--pack",
+        action="append",
+        default=[],
+        metavar="PACK",
+        help="attach a packed result artifact (.frpack) as a read-through "
+        "cache tier (repeatable; see 'fsbench-rocket results')",
+    )
+    fs_list = flag_group()
+    fs_list.add_argument(
+        "--fs",
+        action="append",
+        choices=DEFAULT_FS_TYPES,
+        help="file systems to measure (repeatable; default: the command's own set)",
+    )
+    fs_ext2, fs_ext4 = flag_group(), flag_group()
+    for group, default in ((fs_ext2, "ext2"), (fs_ext4, "ext4")):
+        group.add_argument("--fs", default=default, choices=DEFAULT_FS_TYPES)
+    single_cell = flag_group()
+    single_cell.add_argument(
+        "--axis",
+        action="append",
+        type=_parse_axis,
+        default=[],
+        metavar="NAME=VALUE",
+        help=(
+            "pin one grid axis (repeatable); every axis must resolve to a single "
+            "value -- tracing explains exactly one cell"
+        ),
+    )
+
     run_cmd = subparsers.add_parser(
         "run",
+        parents=[testbed, execution, no_cache, pack],
         help="run a declarative experiment grid (--axis NAME=V1,V2 per dimension)",
     )
     run_cmd.add_argument(
@@ -311,37 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write the tidy result frame here (.csv writes CSV, anything else JSONL)",
-    )
-    run_cmd.add_argument(
-        "--scaled-testbed",
-        type=_testbed_fraction,
-        default=None,
-        metavar="FRACTION",
-        help="shrink the simulated machine by this factor (e.g. 0.125)",
-    )
-    run_cmd.add_argument(
-        "--workers",
-        type=_nonnegative_int,
-        default=1,
-        metavar="N",
-        help="worker processes for the grid fan-out (0 = one per CPU; default 1, serial)",
-    )
-    run_cmd.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist measured cells here and skip them on re-runs (default: no cache)",
-    )
-    run_cmd.add_argument(
-        "--no-cache", action="store_true", help="ignore --cache-dir and measure everything fresh"
-    )
-    run_cmd.add_argument(
-        "--pack",
-        action="append",
-        default=[],
-        metavar="PACK",
-        help="attach a packed result artifact (.frpack) as a read-through "
-        "cache tier (repeatable; see 'fsbench-rocket results')",
     )
     run_cmd.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress lines on stderr"
@@ -421,28 +456,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="human table (default) or machine-readable JSON findings",
     )
 
-    axis_help = (
-        "pin one grid axis (repeatable); every axis must resolve to a single "
-        "value -- tracing explains exactly one cell"
-    )
     trace_cmd = subparsers.add_parser(
         "trace",
+        parents=[single_cell, testbed],
         help="run one cell with tracing on; export span events and the latency attribution",
-    )
-    trace_cmd.add_argument(
-        "--axis",
-        action="append",
-        type=_parse_axis,
-        default=[],
-        metavar="NAME=VALUE",
-        help=axis_help,
-    )
-    trace_cmd.add_argument(
-        "--scaled-testbed",
-        type=_testbed_fraction,
-        default=None,
-        metavar="FRACTION",
-        help="shrink the simulated machine by this factor (e.g. 0.125)",
     )
     trace_cmd.add_argument(
         "--out",
@@ -459,22 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     explain_cmd = subparsers.add_parser(
         "explain",
+        parents=[single_cell, testbed, pack],
         help="re-derive the per-layer latency attribution of a (cached) cell",
-    )
-    explain_cmd.add_argument(
-        "--axis",
-        action="append",
-        type=_parse_axis,
-        default=[],
-        metavar="NAME=VALUE",
-        help=axis_help,
-    )
-    explain_cmd.add_argument(
-        "--scaled-testbed",
-        type=_testbed_fraction,
-        default=None,
-        metavar="FRACTION",
-        help="shrink the simulated machine by this factor (e.g. 0.125)",
     )
     explain_cmd.add_argument(
         "--cache-dir",
@@ -486,78 +489,31 @@ def _build_parser() -> argparse.ArgumentParser:
             "is measured and stored first)"
         ),
     )
-    explain_cmd.add_argument(
-        "--pack",
-        action="append",
-        default=[],
-        metavar="PACK",
-        help="packed result artifact (.frpack) holding the cell; the traced "
-        "re-run is verified bit-for-bit against the packed entry (repeatable)",
+
+    for name in PAPER_SCALE_COMMANDS:
+        subparsers.add_parser(
+            name, parents=[fs_list if name == "figure2" else fs_ext2], help=f"regenerate {name}"
+        )
+    table1 = subparsers.add_parser(
+        "table1", parents=[fs_list, quick, testbed, execution], help="regenerate table1"
+    )
+    table1.add_argument(
+        "--measured",
+        action="store_true",
+        help="also run the measured survey counterpart across the full file-system grid",
     )
 
-    for name, needs_fs in (
-        ("figure1", True),
-        ("figure2", False),
-        ("figure3", True),
-        ("figure4", True),
-        ("zoom", True),
-        ("table1", False),
-    ):
-        sub = subparsers.add_parser(name, help=f"regenerate {name}")
-        if needs_fs:
-            sub.add_argument("--fs", default="ext2", choices=DEFAULT_FS_TYPES)
-        if name == "figure2":
-            sub.add_argument(
-                "--fs",
-                action="append",
-                choices=DEFAULT_FS_TYPES,
-                help="file systems to compare (repeatable; default the paper's three)",
-            )
-        if name == "table1":
-            sub.add_argument(
-                "--measured",
-                action="store_true",
-                help="also run the measured survey counterpart across the full file-system grid",
-            )
-            sub.add_argument(
-                "--fs",
-                action="append",
-                choices=DEFAULT_FS_TYPES,
-                help="file systems for --measured (repeatable; default all four)",
-            )
-            sub.add_argument(
-                "--quick",
-                action="store_true",
-                help="smaller filesets and fewer repetitions for --measured",
-            )
-            sub.add_argument(
-                "--scaled-testbed",
-                type=_testbed_fraction,
-                default=None,
-                metavar="FRACTION",
-                help="shrink the simulated machine by this factor for --measured",
-            )
-            sub.add_argument(
-                "--workers",
-                type=_nonnegative_int,
-                default=1,
-                metavar="N",
-                help="worker processes for --measured (0 = one per CPU; default 1, serial)",
-            )
-            sub.add_argument(
-                "--cache-dir",
-                default=None,
-                metavar="DIR",
-                help="persist --measured cells here and skip them on re-runs (default: no cache)",
-            )
-
-    suite = subparsers.add_parser("suite", help="run the multi-dimensional nano-benchmark suite")
+    suite = subparsers.add_parser(
+        "suite",
+        parents=[fs_list, quick, testbed, execution, no_cache],
+        help="run the multi-dimensional nano-benchmark suite",
+    )
     survey = subparsers.add_parser(
         "survey",
+        parents=[fs_list, quick, testbed, execution, no_cache],
         help="measure every evaluation dimension across file systems (Table 1's executable counterpart)",
     )
     for sub in (suite, survey):
-        sub.add_argument("--fs", action="append", choices=DEFAULT_FS_TYPES)
         sub.add_argument(
             "--device",
             default=None,
@@ -571,34 +527,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="block-layer I/O scheduler (choices come from SCHEDULER_REGISTRY)",
         )
         sub.add_argument(
-            "--quick", action="store_true", help="smaller filesets and fewer repetitions"
-        )
-        sub.add_argument(
-            "--scaled-testbed",
-            type=_testbed_fraction,
-            default=None,
-            metavar="FRACTION",
-            help="shrink the simulated machine by this factor (e.g. 0.125) for quick runs",
-        )
-        sub.add_argument(
-            "--workers",
-            type=_nonnegative_int,
-            default=1,
-            metavar="N",
-            help="worker processes for the repetition fan-out (0 = one per CPU; default 1, serial)",
-        )
-        sub.add_argument(
-            "--cache-dir",
-            default=None,
-            metavar="DIR",
-            help="persist measured cells here and skip them on re-runs (default: no cache)",
-        )
-        sub.add_argument(
-            "--no-cache",
-            action="store_true",
-            help="ignore --cache-dir and measure everything fresh",
-        )
-        sub.add_argument(
             "--snapshot",
             default=None,
             metavar="PATH",
@@ -607,43 +535,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ssd_steady = subparsers.add_parser(
         "ssd-steady",
+        parents=[fs_ext4, quick, testbed, execution],
         help="measure fresh-out-of-box vs preconditioned (steady-state) SSD divergence",
     )
-    ssd_steady.add_argument("--fs", default="ext4", choices=DEFAULT_FS_TYPES)
     ssd_steady.add_argument(
         "--workload",
         default="postmark",
         help="workload registry name to measure on both device states",
     )
-    ssd_steady.add_argument(
-        "--quick", action="store_true", help="shorter protocol and fewer repetitions"
-    )
-    ssd_steady.add_argument(
-        "--scaled-testbed",
-        type=_testbed_fraction,
-        default=None,
-        metavar="FRACTION",
-        help="shrink the simulated machine by this factor (e.g. 0.125)",
-    )
-    ssd_steady.add_argument(
-        "--workers",
-        type=_nonnegative_int,
-        default=1,
-        metavar="N",
-        help="worker processes for the repetition fan-out (0 = one per CPU; default 1, serial)",
-    )
-    ssd_steady.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist measured cells here and skip them on re-runs (default: no cache)",
-    )
 
     scalability = subparsers.add_parser(
         "scalability",
+        parents=[fs_ext4, quick, testbed, execution],
         help="sweep concurrent clients over fresh, aged and steady-SSD stacks",
     )
-    scalability.add_argument("--fs", default="ext4", choices=DEFAULT_FS_TYPES)
     scalability.add_argument(
         "--workload",
         default=None,
@@ -655,29 +560,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=(1, 2, 4),
         metavar="N,N,...",
         help="comma-separated client counts to sweep (default 1,2,4)",
-    )
-    scalability.add_argument(
-        "--quick", action="store_true", help="shorter protocol and CI-sized aging"
-    )
-    scalability.add_argument(
-        "--scaled-testbed",
-        type=_testbed_fraction,
-        default=None,
-        metavar="FRACTION",
-        help="shrink the simulated machine by this factor (e.g. 0.125)",
-    )
-    scalability.add_argument(
-        "--workers",
-        type=_nonnegative_int,
-        default=1,
-        metavar="N",
-        help="worker processes for the repetition fan-out (0 = one per CPU; default 1, serial)",
-    )
-    scalability.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist measured cells here and skip them on re-runs (default: no cache)",
     )
     scalability.add_argument(
         "--snapshot-dir",
@@ -692,11 +574,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     age = subparsers.add_parser(
         "age",
+        parents=[fs_ext2, quick, testbed],
         help="age a file system and save the state as a reproducible snapshot",
-    )
-    age.add_argument("--fs", default="ext2", choices=DEFAULT_FS_TYPES)
-    age.add_argument(
-        "--quick", action="store_true", help="small, fast aging profile (CI-sized)"
     )
     age.add_argument(
         "--out",
@@ -708,18 +587,34 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=777, help="seed of the aging churn (default 777)"
     )
     age.add_argument(
-        "--scaled-testbed",
-        type=_testbed_fraction,
-        default=None,
-        metavar="FRACTION",
-        help="shrink the simulated machine by this factor (affects --compare sizing)",
-    )
-    age.add_argument(
         "--compare",
         action="store_true",
         help="also run the aged-vs-fresh comparison benchmark and report the delta",
     )
     return parser
+
+
+def _usage_error(message) -> int:
+    """Report a usage error on stderr; returns the exit status, 2."""
+    print(f"fsbench-rocket: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _testbed(args, default):
+    """The ``--scaled-testbed`` machine, or ``default`` without the flag."""
+    if args.scaled_testbed is not None:
+        return scaled_testbed(args.scaled_testbed)
+    return default
+
+
+def _axes(args) -> dict:
+    """``--axis`` flags as a grid, with the default fs and workload filled in."""
+    axes = {}
+    for name, values in args.axis:
+        axes.setdefault(name, []).extend(values)
+    axes.setdefault("fs", ["ext2"])
+    axes.setdefault("workload", ["random-read-cached"])
+    return axes
 
 
 def _run_list(args) -> int:
@@ -792,16 +687,6 @@ def _run_lint(args) -> int:
 
 def _run_experiment(args) -> int:
     """The ``run`` subcommand: declare a grid, stream progress, emit a frame."""
-    axes = {}
-    for name, values in args.axis:
-        axes.setdefault(name, []).extend(values)
-    axes.setdefault("fs", ["ext2"])
-    axes.setdefault("workload", ["random-read-cached"])
-    testbed = (
-        scaled_testbed(args.scaled_testbed)
-        if args.scaled_testbed is not None
-        else paper_testbed()
-    )
     cache_dir = None if args.no_cache else args.cache_dir
     if args.pack:
         # Open each pack once up front so an unreadable or corrupt
@@ -813,8 +698,7 @@ def _run_experiment(args) -> int:
             for pack_path in args.pack:
                 PackReader(pack_path).close()
         except (StoreError, OSError) as error:
-            print(f"fsbench-rocket: error: {error}", file=sys.stderr)
-            return 2
+            return _usage_error(error)
     sink = None
     if args.telemetry:
         from repro.obs import TelemetrySink
@@ -822,9 +706,9 @@ def _run_experiment(args) -> int:
         sink = TelemetrySink(args.telemetry)
     try:
         experiment = Experiment(
-            grid=ParameterGrid(axes),
+            grid=ParameterGrid(_axes(args)),
             name=args.name,
-            testbed=testbed,
+            testbed=_testbed(args, paper_testbed()),
             n_workers=args.workers,
             cache_dir=cache_dir,
             pack_paths=tuple(args.pack),
@@ -837,8 +721,7 @@ def _run_experiment(args) -> int:
         # snapshots are usage errors; fail before any measurement starts.
         if sink is not None:
             sink.close()
-        print(f"fsbench-rocket: error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error(error)
 
     import os
 
@@ -880,43 +763,39 @@ def _single_cell(args, name: str):
     loop -- a ``seed`` axis included: its values pool into one cell's
     repetitions, of which only the first would be measured.
     """
-    axes = {}
-    for axis_name, values in args.axis:
-        axes.setdefault(axis_name, []).extend(values)
+    axes = _axes(args)
     multi_valued = [axis_name for axis_name, values in axes.items() if len(values) > 1]
     if multi_valued:
         raise ValueError(
             f"{name} measures one repetition, but --axis {', '.join(multi_valued)} "
             "names several values; pin every --axis to a single value"
         )
-    axes.setdefault("fs", ["ext2"])
-    axes.setdefault("workload", ["random-read-cached"])
-    testbed = (
-        scaled_testbed(args.scaled_testbed)
-        if args.scaled_testbed is not None
-        else paper_testbed()
-    )
+    testbed = _testbed(args, paper_testbed())
     (cell,) = Experiment(grid=ParameterGrid(axes), name=name, testbed=testbed).cells()
     return cell
+
+
+def _print_attribution(label: str, attribution) -> None:
+    """The per-layer latency attribution of one cell, then its per-client view."""
+    from repro.obs import render_attribution, render_client_attribution
+
+    print(render_attribution(attribution, title=f"{label}: latency attribution"))
+    per_client = render_client_attribution(attribution)
+    if per_client:
+        print()
+        print(per_client)
 
 
 def _run_trace(args) -> int:
     """The ``trace`` subcommand: one traced run, exported events, attribution."""
     import json
 
-    from repro.obs import (
-        chrome_trace,
-        render_attribution,
-        render_client_attribution,
-        run_unit_traced,
-        write_jsonl,
-    )
+    from repro.obs import chrome_trace, run_unit_traced, write_jsonl
 
     try:
         cell = _single_cell(args, "trace")
     except (ValueError, TypeError, AttributeError, OSError) as error:
-        print(f"fsbench-rocket: error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error(error)
     unit = cell.work_units()[0]
     logger.info("tracing %s (effective seed %d)", cell.label, unit.seed)
     run = run_unit_traced(unit)
@@ -929,11 +808,7 @@ def _run_trace(args) -> int:
         with open(args.chrome, "w") as handle:
             json.dump(chrome_trace(events), handle)
         print(f"wrote Chrome trace -> {args.chrome}")
-    print(render_attribution(run.attribution, title=f"{cell.label}: latency attribution"))
-    per_client = render_client_attribution(run.attribution)
-    if per_client:
-        print()
-        print(per_client)
+    _print_attribution(cell.label, run.attribution)
     return 0
 
 
@@ -945,13 +820,12 @@ def _run_explain(args) -> int:
     of the non-perturbation guarantee.
     """
     from repro.core.parallel import ResultCache, execute_unit
-    from repro.obs import payloads_match, render_attribution, render_client_attribution, run_unit_traced
+    from repro.obs import payloads_match, run_unit_traced
 
     try:
         cell = _single_cell(args, "explain")
     except (ValueError, TypeError, AttributeError, OSError) as error:
-        print(f"fsbench-rocket: error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error(error)
     unit = cell.work_units()[0]
     key = unit.key()
     cache = None
@@ -961,8 +835,7 @@ def _run_explain(args) -> int:
         try:
             cache = ResultCache(args.cache_dir, pack_paths=tuple(args.pack))
         except (StoreError, OSError) as error:
-            print(f"fsbench-rocket: error: {error}", file=sys.stderr)
-            return 2
+            return _usage_error(error)
     try:
         reference = cache.get(key) if cache is not None else None
         if reference is None:
@@ -988,11 +861,7 @@ def _run_explain(args) -> int:
         f"measurement (key {key[:12]}...)"
     )
     print()
-    print(render_attribution(traced.attribution, title=f"{cell.label}: latency attribution"))
-    per_client = render_client_attribution(traced.attribution)
-    if per_client:
-        print()
-        print(per_client)
+    _print_attribution(cell.label, traced.attribution)
     return 0
 
 
@@ -1003,14 +872,9 @@ def _run_report(args) -> int:
     try:
         events = load_events(args.telemetry)
     except (OSError, ValueError) as error:
-        print(f"fsbench-rocket: error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error(error)
     if not events:
-        print(
-            f"fsbench-rocket: error: {args.telemetry}: no telemetry events",
-            file=sys.stderr,
-        )
-        return 2
+        return _usage_error(f"{args.telemetry}: no telemetry events")
     print(render_report(events, top=args.top))
     return 0
 
@@ -1024,8 +888,7 @@ def _run_bench_diff(args) -> int:
     try:
         diff = diff_files(args.old, args.new, threshold=threshold)
     except (OSError, ValueError, KeyError, TypeError) as error:
-        print(f"fsbench-rocket: error: {error}", file=sys.stderr)
-        return 2
+        return _usage_error(error)
     print(diff.render())
     if diff.exit_code and args.warn_only:
         logger.warning("regressions beyond threshold, but --warn-only requested: exit 0")
@@ -1045,11 +908,7 @@ def _run_age(args) -> int:
     )
     from repro.fs.stack import build_stack
 
-    testbed = (
-        scaled_testbed(args.scaled_testbed)
-        if args.scaled_testbed is not None
-        else paper_testbed()
-    )
+    testbed = _testbed(args, paper_testbed())
     aging = quick_aging_config(seed=args.seed) if args.quick else AgingConfig(seed=args.seed)
     out = args.out if args.out else f"aged-{args.fs}.snapshot.json"
 
@@ -1090,194 +949,165 @@ def _run_age(args) -> int:
     return 0
 
 
+def _run_figure(args) -> int:
+    """``figure1``-``figure4`` and ``zoom``: one of the paper's figures."""
+    scale = paper_scale() if args.paper_scale else default_scale()
+    harness = {
+        "figure1": lambda: run_figure1(fs_type=args.fs, scale=scale),
+        # Figure 2 reproduces the paper's curve, so its default grid stays
+        # the paper's trio; ext4 joins on request via --fs.
+        "figure2": lambda: run_figure2(
+            fs_types=tuple(args.fs) if args.fs else ("ext2", "ext3", "xfs"), scale=scale
+        ),
+        "figure3": lambda: run_figure3(fs_type=args.fs, scale=scale),
+        "figure4": lambda: run_figure4(fs_type=args.fs, scale=scale),
+        "zoom": lambda: run_transition_zoom(fs_type=args.fs, scale=scale),
+    }[args.command]
+    print(harness().render())
+    return 0
+
+
+def _run_table1(args) -> int:
+    """The ``table1`` subcommand: the literature survey, optionally measured."""
+    if not args.measured and (
+        args.fs
+        or args.quick
+        or args.scaled_testbed is not None
+        or args.workers != 1
+        or args.cache_dir is not None
+    ):
+        # These flags only configure the measured counterpart; silently
+        # ignoring them would look like the measurement ran.
+        return _usage_error(
+            "--fs/--quick/--scaled-testbed/--workers/--cache-dir require --measured"
+        )
+    measured_fs_types = None
+    if args.measured:
+        measured_fs_types = tuple(args.fs) if args.fs else DEFAULT_FS_TYPES
+    result = run_table1(
+        measured_fs_types=measured_fs_types,
+        testbed=_testbed(args, None),
+        quick=args.quick,
+        n_workers=args.workers,
+        cache_dir=args.cache_dir,
+    )
+    print(result.render())
+    return 0
+
+
+def _run_device_sweep(args) -> int:
+    """``ssd-steady`` and ``scalability``: one workload across device states."""
+    common = dict(
+        fs_type=args.fs,
+        workload=args.workload,
+        testbed=_testbed(args, paper_testbed()),
+        quick=args.quick,
+        n_workers=args.workers,
+        cache_dir=args.cache_dir,
+    )
+    harness = {
+        "ssd-steady": lambda: run_fresh_vs_steady(**common),
+        "scalability": lambda: run_scalability(
+            clients=args.clients, snapshot_dir=args.snapshot_dir, **common
+        ),
+    }[args.command]
+    try:
+        result = harness()
+    except ValueError as error:
+        # Unknown workload names are usage errors, not tracebacks.
+        return _usage_error(error)
+    print(result.render())
+    return 0
+
+
+def _run_suite(args) -> int:
+    """``suite`` and ``survey``: the nano-benchmark suite across file systems."""
+    fs_types = tuple(args.fs) if args.fs else DEFAULT_FS_TYPES
+    testbed = _testbed(args, paper_testbed())
+    if args.device is not None:
+        testbed = replace(testbed, device_kind=args.device)
+    if args.scheduler is not None:
+        testbed = replace(testbed, io_scheduler=args.scheduler)
+    testbed.validate()
+    if args.snapshot is not None:
+        # Validate the snapshot up front so a bad path or a file-system
+        # mismatch is a clean usage error; failures later in the run
+        # (cache I/O, worker errors) still propagate with tracebacks.
+        from repro.aging.snapshot import load_snapshot_cached
+
+        try:
+            snapshot_fs = load_snapshot_cached(args.snapshot).fs_type
+        except (OSError, ValueError) as error:
+            return _usage_error(error)
+        if any(fs != snapshot_fs for fs in fs_types):
+            return _usage_error(
+                f"snapshot {args.snapshot} holds {snapshot_fs!r} state; run with --fs {snapshot_fs}"
+            )
+    options = dict(
+        testbed=testbed,
+        quick=args.quick,
+        n_workers=args.workers,
+        cache_dir=None if args.no_cache else args.cache_dir,
+        snapshot_path=args.snapshot,
+    )
+    render = {
+        "suite": lambda: suite_report(NanoBenchmarkSuite(**options).run(fs_types)),
+        "survey": lambda: MeasuredSurvey(**options).run(fs_types).render(),
+    }[args.command]
+    print(render())
+    return 0
+
+
+def _run_store(args) -> int:
+    """``results`` and ``cache``: the packed result store's verbs."""
+    from repro.store.commands import run_cache, run_results
+
+    return {"results": run_results, "cache": run_cache}[args.command](args)
+
+
+#: Subcommand -> handler.  A handler shared by several subcommands picks its
+#: harness by ``args.command``; every handler looks the harnesses up as module
+#: globals when it is called.
+COMMANDS = {
+    "run": _run_experiment,
+    "list": _run_list,
+    "report": _run_report,
+    "bench-diff": _run_bench_diff,
+    "lint": _run_lint,
+    "trace": _run_trace,
+    "explain": _run_explain,
+    "figure1": _run_figure,
+    "figure2": _run_figure,
+    "figure3": _run_figure,
+    "figure4": _run_figure,
+    "zoom": _run_figure,
+    "table1": _run_table1,
+    "suite": _run_suite,
+    "survey": _run_suite,
+    "ssd-steady": _run_device_sweep,
+    "scalability": _run_device_sweep,
+    "results": _run_store,
+    "cache": _run_store,
+    "age": _run_age,
+}
+
+#: The commands whose harness takes an ``ExperimentScale``; ``--paper-scale``
+#: with any other command is a usage error.
+PAPER_SCALE_COMMANDS = tuple(name for name, run in COMMANDS.items() if run is _run_figure)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     _configure_logging(args)
     if args.paper_scale and args.command not in PAPER_SCALE_COMMANDS:
         # Only these harnesses take a scale; silently ignoring the flag
         # would look like the paper's protocol ran.
-        print(
-            f"fsbench-rocket: error: --paper-scale applies only to "
-            f"{', '.join(PAPER_SCALE_COMMANDS)}, not {args.command}",
-            file=sys.stderr,
+        return _usage_error(
+            f"--paper-scale applies only to {', '.join(PAPER_SCALE_COMMANDS)}, "
+            f"not {args.command}"
         )
-        return 2
-    scale = paper_scale() if args.paper_scale else default_scale()
-
-    if args.command == "list":
-        return _run_list(args)
-    if args.command == "lint":
-        return _run_lint(args)
-    if args.command == "run":
-        return _run_experiment(args)
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.command == "report":
-        return _run_report(args)
-    if args.command == "bench-diff":
-        return _run_bench_diff(args)
-    if args.command == "explain":
-        return _run_explain(args)
-    if args.command == "results":
-        from repro.store.commands import run_results
-
-        return run_results(args)
-    if args.command == "cache":
-        from repro.store.commands import run_cache
-
-        return run_cache(args)
-    if args.command == "table1":
-        measured_fs_types = None
-        if not args.measured and (
-            args.fs
-            or args.quick
-            or args.scaled_testbed is not None
-            or args.workers != 1
-            or args.cache_dir is not None
-        ):
-            # These flags only configure the measured counterpart; silently
-            # ignoring them would look like the measurement ran.
-            print(
-                "fsbench-rocket: error: --fs/--quick/--scaled-testbed/--workers/"
-                "--cache-dir require --measured",
-                file=sys.stderr,
-            )
-            return 2
-        if args.measured:
-            measured_fs_types = tuple(args.fs) if args.fs else DEFAULT_FS_TYPES
-        testbed = (
-            scaled_testbed(args.scaled_testbed)
-            if args.scaled_testbed is not None
-            else None
-        )
-        print(
-            run_table1(
-                measured_fs_types=measured_fs_types,
-                testbed=testbed,
-                quick=args.quick,
-                n_workers=args.workers,
-                cache_dir=args.cache_dir,
-            ).render()
-        )
-        return 0
-    if args.command == "figure1":
-        print(run_figure1(fs_type=args.fs, scale=scale).render())
-        return 0
-    if args.command == "figure2":
-        # Figure 2 reproduces the paper's curve, so its default grid stays
-        # the paper's trio; ext4 joins on request via --fs.
-        fs_types = tuple(args.fs) if args.fs else ("ext2", "ext3", "xfs")
-        print(run_figure2(fs_types=fs_types, scale=scale).render())
-        return 0
-    if args.command == "figure3":
-        print(run_figure3(fs_type=args.fs, scale=scale).render())
-        return 0
-    if args.command == "figure4":
-        print(run_figure4(fs_type=args.fs, scale=scale).render())
-        return 0
-    if args.command == "zoom":
-        print(run_transition_zoom(fs_type=args.fs, scale=scale).render())
-        return 0
-    if args.command == "age":
-        return _run_age(args)
-    if args.command == "ssd-steady":
-        testbed = (
-            scaled_testbed(args.scaled_testbed)
-            if args.scaled_testbed is not None
-            else paper_testbed()
-        )
-        try:
-            result = run_fresh_vs_steady(
-                fs_type=args.fs,
-                workload=args.workload,
-                testbed=testbed,
-                quick=args.quick,
-                n_workers=args.workers,
-                cache_dir=args.cache_dir,
-            )
-        except ValueError as error:
-            # Unknown workload names are usage errors, not tracebacks.
-            print(f"fsbench-rocket: error: {error}", file=sys.stderr)
-            return 2
-        print(result.render())
-        return 0
-    if args.command == "scalability":
-        testbed = (
-            scaled_testbed(args.scaled_testbed)
-            if args.scaled_testbed is not None
-            else paper_testbed()
-        )
-        try:
-            result = run_scalability(
-                fs_type=args.fs,
-                workload=args.workload,
-                clients=args.clients,
-                testbed=testbed,
-                quick=args.quick,
-                n_workers=args.workers,
-                cache_dir=args.cache_dir,
-                snapshot_dir=args.snapshot_dir,
-            )
-        except ValueError as error:
-            # Unknown workload names are usage errors, not tracebacks.
-            print(f"fsbench-rocket: error: {error}", file=sys.stderr)
-            return 2
-        print(result.render())
-        return 0
-    if args.command in ("suite", "survey"):
-        fs_types = tuple(args.fs) if args.fs else DEFAULT_FS_TYPES
-        testbed = (
-            scaled_testbed(args.scaled_testbed)
-            if args.scaled_testbed is not None
-            else paper_testbed()
-        )
-        if args.device is not None:
-            testbed = replace(testbed, device_kind=args.device)
-        if args.scheduler is not None:
-            testbed = replace(testbed, io_scheduler=args.scheduler)
-        testbed.validate()
-        cache_dir = None if args.no_cache else args.cache_dir
-        if args.snapshot is not None:
-            # Validate the snapshot up front so a bad path or a file-system
-            # mismatch is a clean usage error; failures later in the run
-            # (cache I/O, worker errors) still propagate with tracebacks.
-            from repro.aging.snapshot import load_snapshot_cached
-
-            try:
-                snapshot_fs = load_snapshot_cached(args.snapshot).fs_type
-            except (OSError, ValueError) as error:
-                print(f"fsbench-rocket: error: {error}", file=sys.stderr)
-                return 2
-            if any(fs != snapshot_fs for fs in fs_types):
-                print(
-                    f"fsbench-rocket: error: snapshot {args.snapshot} holds "
-                    f"{snapshot_fs!r} state; run with --fs {snapshot_fs}",
-                    file=sys.stderr,
-                )
-                return 2
-        if args.command == "survey":
-            survey = MeasuredSurvey(
-                testbed=testbed,
-                quick=args.quick,
-                n_workers=args.workers,
-                cache_dir=cache_dir,
-                snapshot_path=args.snapshot,
-            )
-            print(survey.run(fs_types).render())
-            return 0
-        suite = NanoBenchmarkSuite(
-            testbed=testbed,
-            quick=args.quick,
-            n_workers=args.workers,
-            cache_dir=cache_dir,
-            snapshot_path=args.snapshot,
-        )
-        print(suite_report(suite.run(fs_types)))
-        return 0
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover
