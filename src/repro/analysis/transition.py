@@ -6,8 +6,8 @@ and how abruptly, a sweep's throughput collapses.  :func:`find_transition`
 extracts that from a finished :class:`~repro.core.results.SweepResult`;
 :func:`refine_transition` runs additional measurements to narrow the region,
 bisection style, the way the authors zoomed in.  Together they are the
-package's one cliff locator; :func:`~repro.experiments.run_transition_zoom`
-drives them with every measurement an ``Experiment`` run.
+package's only cliff locator: :func:`~repro.experiments.run_transition_zoom`
+drives them, running each measurement as an ``Experiment``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 import repro.cli as cli
@@ -22,6 +24,14 @@ class TestParser:
     def test_unknown_fs_rejected(self):
         with pytest.raises(SystemExit):
             cli.main(["figure1", "--fs", "zfs"])
+
+    def test_every_subcommand_has_a_handler(self):
+        (subcommands,) = [
+            action.choices
+            for action in cli._build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(subcommands) == set(cli.COMMANDS)
 
 
 class TestTable1Command:
