@@ -318,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     quick.add_argument(
         "--quick",
         action="store_true",
-        help="CI-sized run: shorter protocol, smaller filesets, fewer repetitions",
+        help="CI-sized run: shorter protocol, smaller filesets and aging, fewer repetitions",
     )
     pack = flag_group()
     pack.add_argument(
