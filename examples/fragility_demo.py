@@ -22,8 +22,8 @@ from repro.analysis.fragility import assess_sweep
 from repro.analysis.regimes import regime_ranges
 from repro.core.report import ascii_plot, sweep_table
 from repro.core.results import SweepResult
-from repro.experiments import default_scale, run_transition_zoom
-from repro.experiments.config import quick_scale
+from repro.experiments import run_transition_zoom
+from repro.experiments.config import default_scale, quick_scale
 from repro.fs.stack import DEFAULT_FS_TYPES
 from repro.storage.config import paper_testbed, scaled_testbed
 
