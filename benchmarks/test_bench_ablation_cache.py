@@ -1,21 +1,25 @@
 """Ablation benchmark: how much of "file system performance" is the cache policy?
 
-DESIGN.md calls out the page-cache eviction policy as a design choice of the
-substrate.  This ablation reruns a compressed Figure-1 sweep (a point below,
-at, and above the cache size) under LRU, CLOCK and ARC.  The headline numbers
-in the memory-bound and far-I/O-bound regimes barely move, but throughput for
-working sets *near* the cache size depends measurably on the policy --
-another knob that published single-number results silently bake in.
+The page-cache eviction policy is a design choice of the simulated substrate
+(``TestbedConfig.cache_policy``).  This ablation reruns a compressed Figure-1
+sweep (a point below, at, and above the cache size) under LRU, CLOCK and ARC.
+The headline numbers in the memory-bound and far-I/O-bound regimes barely
+move, but throughput for working sets *near* the cache size depends
+measurably on the policy -- another knob that published single-number
+results silently bake in.
 """
+
+from typing import Dict
 
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.core.results import SweepResult
-from repro.core.runner import BenchmarkConfig, BenchmarkRunner, EnvironmentNoise, WarmupMode
+from repro.core.results import RepetitionSet
+from repro.core.runner import BenchmarkConfig, EnvironmentNoise, WarmupMode
+from repro.core.stats import fragility_index
+from repro.experiments.figure1 import measure_file_sizes
 from repro.storage.cache import CachePolicy
 from repro.storage.config import scaled_testbed
-from repro.workloads.micro import random_read_workload
 
 MiB = 1024 * 1024
 
@@ -24,7 +28,7 @@ TESTBED = scaled_testbed(0.25)
 SIZES_MB = (64, 100, 112, 160)
 
 
-def sweep_with_policy(policy: CachePolicy) -> SweepResult:
+def sweep_with_policy(policy: CachePolicy) -> Dict[float, RepetitionSet]:
     config = BenchmarkConfig(
         duration_s=4.0,
         repetitions=3,
@@ -33,20 +37,22 @@ def sweep_with_policy(policy: CachePolicy) -> SweepResult:
         seed=97,
         noise=EnvironmentNoise(enabled=False),
     )
-    testbed = TESTBED.with_cache_policy(policy)
-    sweep = SweepResult(parameter_name="file_size", unit="bytes")
-    for size_mb in SIZES_MB:
-        runner = BenchmarkRunner("ext2", testbed=testbed, config=config)
-        sweep.add(size_mb * MiB, runner.run(random_read_workload(size_mb * MiB)))
-    return sweep
+    return measure_file_sizes(
+        "ext2",
+        [size_mb * MiB for size_mb in SIZES_MB],
+        config,
+        TESTBED.with_cache_policy(policy),
+        f"ablation-cache-{policy.value}",
+    )
 
 
 @pytest.mark.parametrize("policy", [CachePolicy.LRU, CachePolicy.CLOCK, CachePolicy.ARC])
 def test_bench_ablation_cache_policy(benchmark, policy):
     sweep = run_once(benchmark, sweep_with_policy, policy)
-    means = {int(size // MiB): round(mean) for size, mean in sweep.mean_throughputs()}
+    mean_by_size = {size: sweep[size].throughput_summary().mean for size in sorted(sweep)}
+    means = {int(size // MiB): round(mean) for size, mean in mean_by_size.items()}
     benchmark.extra_info["policy"] = policy.value
     benchmark.extra_info["mean_ops_by_size_mb"] = str(means)
-    benchmark.extra_info["fragility"] = round(sweep.fragility(), 2)
+    benchmark.extra_info["fragility"] = round(fragility_index(list(mean_by_size.items())), 2)
     # The cliff must exist under every policy; its exact shape is the ablation.
     assert means[SIZES_MB[0]] > 5 * means[SIZES_MB[-1]]

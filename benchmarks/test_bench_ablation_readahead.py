@@ -12,6 +12,7 @@ import pytest
 
 from benchmarks.conftest import run_once
 from repro.core.runner import BenchmarkConfig, BenchmarkRunner, EnvironmentNoise, WarmupMode
+from repro.core.stats import summarize
 from repro.fs.stack import build_stack
 from repro.storage.config import scaled_testbed
 from repro.storage.readahead import AGGRESSIVE_READAHEAD, DEFAULT_READAHEAD, NO_READAHEAD
@@ -49,7 +50,8 @@ def sequential_read_throughput(policy_name: str) -> float:
     )
     runner = BenchmarkRunner("ext2", testbed=TESTBED, config=config, stack_factory=factory)
     spec = sequential_read_workload(int(TESTBED.page_cache_bytes * 2), op_overhead_ns=20_000.0)
-    return runner.run(spec).throughput_summary().mean
+    runs = [runner.run_once(spec, repetition) for repetition in range(config.repetitions)]
+    return summarize([run.throughput_ops_s for run in runs]).mean
 
 
 @pytest.mark.parametrize("policy_name", list(READAHEAD_POLICIES))

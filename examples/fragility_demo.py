@@ -21,7 +21,6 @@ import argparse
 from repro.analysis.fragility import assess_sweep
 from repro.analysis.regimes import regime_ranges
 from repro.core.report import ascii_plot, sweep_table
-from repro.core.results import SweepResult
 from repro.experiments import run_transition_zoom
 from repro.experiments.config import default_scale, quick_scale
 from repro.fs.stack import DEFAULT_FS_TYPES
@@ -43,16 +42,14 @@ def main(argv=None) -> int:
     result = run_transition_zoom(fs_type=args.fs, testbed=testbed, scale=scale)
 
     # The whole graph: the coarse sweep plus the fine sweep across the cliff.
-    sweep = SweepResult(parameter_name="file_size", unit="bytes")
-    for part in (result.coarse_sweep, result.fine_sweep):
-        for size, repetitions in part.points.items():
-            sweep.add(size, repetitions)
+    sweep = {**result.coarse_sweep, **result.fine_sweep}
+    means = [(size, sweep[size].throughput_summary().mean) for size in sorted(sweep)]
 
     print(f"Cache-cliff sweep of {args.fs} random-read throughput vs working-set size")
     print(f"Page cache: {testbed.page_cache_bytes // MiB} MiB\n")
     print(sweep_table(sweep))
     print()
-    print(ascii_plot(sweep.mean_throughputs(), x_label="file size (bytes)", y_label="ops/s"))
+    print(ascii_plot(means, x_label="file size (bytes)", y_label="ops/s"))
     print()
     print(result.render())
     print()

@@ -18,8 +18,9 @@ from __future__ import annotations
 import argparse
 
 from repro.core.dimensions import DimensionVector
+from repro.core.experiment import Experiment, ParameterGrid
 from repro.core.histogram import LatencyHistogram
-from repro.core.runner import BenchmarkConfig, BenchmarkRunner, WarmupMode
+from repro.core.runner import BenchmarkConfig, WarmupMode
 from repro.storage.config import paper_testbed, scaled_testbed
 from repro.workloads import (
     PostmarkConfig,
@@ -64,12 +65,15 @@ def main(argv=None) -> int:
     print(f"Macro personalities on {args.fs} ({testbed.describe()})\n")
 
     web = webserver_personality(file_count=file_count, threads=2)
-    runner = BenchmarkRunner(fs_type=args.fs, testbed=testbed, config=config)
-    describe_run("Filebench-like webserver", runner.run(web), web.dimensions)
-
     mail = varmail_personality(file_count=file_count, threads=2)
-    runner = BenchmarkRunner(fs_type=args.fs, testbed=testbed, config=config)
-    describe_run("Filebench-like varmail", runner.run(mail), mail.dimensions)
+    outcome = Experiment(
+        ParameterGrid.of(workload=[web, mail], fs=[args.fs]),
+        name="macro-personalities",
+        config=config,
+        testbed=testbed,
+    ).run()
+    describe_run("Filebench-like webserver", outcome.result_for(workload=web.name), web.dimensions)
+    describe_run("Filebench-like varmail", outcome.result_for(workload=mail.name), mail.dimensions)
 
     # PostMark is a one-shot transaction benchmark, run directly on a stack.
     stack = build_stack(args.fs, testbed=testbed, seed=11)

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import argparse
 
-from repro import BenchmarkConfig, BenchmarkRunner, WarmupMode, random_read_workload
+from repro import BenchmarkConfig, WarmupMode
 from repro.fs import DEFAULT_FS_TYPES
 from repro.analysis.fragility import assess_repetitions
 from repro.analysis.regimes import classify_repetitions
 from repro.core.report import ReportBuilder, histogram_report
+from repro.experiments.figure1 import measure_file_sizes
 from repro.storage.config import paper_testbed, scaled_testbed
 
 MiB = 1024 * 1024
@@ -44,11 +45,11 @@ def main(argv=None) -> int:
         warmup_mode=WarmupMode.PREWARM,
         interval_s=1.0,
     )
-    runner = BenchmarkRunner(fs_type=args.fs, testbed=testbed, config=config)
+    sweep = measure_file_sizes(args.fs, [small_file, large_file], config, testbed, "quickstart")
 
     report = ReportBuilder(title=f"Quickstart: {args.fs} on {testbed.describe()}")
     for label, size in (("fits in cache", small_file), ("twice the cache", large_file)):
-        repetitions = runner.run(random_read_workload(size))
+        repetitions = sweep[size]
         summary = repetitions.throughput_summary()
         regime = classify_repetitions(repetitions)
         warnings = assess_repetitions(repetitions)

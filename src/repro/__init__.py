@@ -67,7 +67,6 @@ from repro.core import (
     RunResult,
     SummaryStatistics,
     SurveyDatabase,
-    SweepResult,
     WarmupMode,
     default_suite,
     load_paper_survey,
@@ -134,7 +133,6 @@ __all__ = [
     "RunResult",
     "SummaryStatistics",
     "SurveyDatabase",
-    "SweepResult",
     "WarmupMode",
     "default_suite",
     "load_paper_survey",

@@ -187,14 +187,8 @@ def run_aged_vs_fresh(
             config=config,
             testbed=testbed,
         ).run()
-        fresh = RepetitionSet(
-            label=f"fresh:{spec.name}@{fs_type}",
-            runs=list(outcome.result_for(snapshot=None).runs),
-        )
-        aged = RepetitionSet(
-            label=f"aged:{spec.name}@{fs_type}",
-            runs=list(outcome.result_for(snapshot=path).runs),
-        )
+        fresh = outcome.result_for(snapshot=None)
+        aged = outcome.result_for(snapshot=path)
 
         result.cells[fs_type] = AgedVsFreshCell(
             fs_type=fs_type,

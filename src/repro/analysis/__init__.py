@@ -21,7 +21,7 @@ from repro.analysis.fragility import (
     assess_aging,
     assess_sweep,
 )
-from repro.analysis.regimes import Regime, classify_run, classify_sweep_point
+from repro.analysis.regimes import Regime, classify_run
 from repro.analysis.transition import TransitionRegion, find_transition, refine_transition
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "assess_sweep",
     "Regime",
     "classify_run",
-    "classify_sweep_point",
     "TransitionRegion",
     "find_transition",
     "refine_transition",

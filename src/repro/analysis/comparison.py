@@ -9,10 +9,10 @@ confidence intervals cannot support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.analysis.regimes import Regime, classify_repetitions
-from repro.core.results import RepetitionSet, SweepResult
+from repro.core.results import RepetitionSet
 from repro.core.stats import overlapping_confidence_intervals
 
 
@@ -128,12 +128,16 @@ class SweepComparison:
         return "\n".join(lines)
 
 
-def compare_sweeps(label_a: str, sweep_a: SweepResult, label_b: str, sweep_b: SweepResult) -> SweepComparison:
+def compare_sweeps(
+    label_a: str,
+    sweep_a: Mapping[float, RepetitionSet],
+    label_b: str,
+    sweep_b: Mapping[float, RepetitionSet],
+) -> SweepComparison:
     """Compare two sweeps point by point over their common parameter values."""
     comparison = SweepComparison(label_a=label_a, label_b=label_b)
-    common = sorted(set(sweep_a.parameters()) & set(sweep_b.parameters()))
-    for parameter in common:
+    for parameter in sorted(set(sweep_a) & set(sweep_b)):
         comparison.verdicts[parameter] = compare_repetition_sets(
-            label_a, sweep_a.repetitions_at(parameter), label_b, sweep_b.repetitions_at(parameter)
+            label_a, sweep_a[parameter], label_b, sweep_b[parameter]
         )
     return comparison

@@ -15,11 +15,12 @@ failure patterns:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Mapping, Optional
 
 from repro.analysis.regimes import classify_run
 from repro.analysis.transition import find_transition
-from repro.core.results import RepetitionSet, SweepResult
+from repro.core.results import RepetitionSet
+from repro.core.stats import dynamic_range
 
 
 @dataclass(frozen=True)
@@ -183,11 +184,11 @@ def assess_aging(
     return warnings
 
 
-def assess_sweep(sweep: SweepResult) -> FragilityReport:
-    """Full fragility report for a parameter sweep."""
+def assess_sweep(sweep: Mapping[float, RepetitionSet]) -> FragilityReport:
+    """Full fragility report for a file-size sweep (sizes in bytes)."""
     report = FragilityReport()
-    for parameter in sweep.parameters():
-        for warning in assess_repetitions(sweep.repetitions_at(parameter), parameter):
+    for parameter in sorted(sweep):
+        for warning in assess_repetitions(sweep[parameter], parameter):
             report.add(warning)
 
     transition = find_transition(sweep, min_drop_factor=CLIFF_FACTOR)
@@ -198,19 +199,19 @@ def assess_sweep(sweep: SweepResult) -> FragilityReport:
                 parameter=transition.parameter_low,
                 severity="severe",
                 message=(
-                    f"{transition.describe(sweep.unit)}; any single point in this range "
+                    f"{transition.describe('bytes')}; any single point in this range "
                     "misrepresents the system"
                 ),
             )
         )
 
-    dynamic_range = sweep.dynamic_range()
-    if dynamic_range >= 10.0:
+    spread = dynamic_range([reps.throughput_summary().mean for reps in sweep.values()])
+    if spread >= 10.0:
         report.add(
             FragilityWarning(
                 kind="wide dynamic range",
                 message=(
-                    f"mean throughput varies {dynamic_range:.0f}x across the sweep; "
+                    f"mean throughput varies {spread:.0f}x across the sweep; "
                     "publish the whole curve, not a point"
                 ),
             )

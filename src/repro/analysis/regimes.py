@@ -10,9 +10,9 @@ performance."  These helpers make that labelling explicit and automatic.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, List, Mapping, Tuple
 
-from repro.core.results import RepetitionSet, RunResult, SweepResult
+from repro.core.results import RepetitionSet, RunResult
 
 
 class Regime(str, Enum):
@@ -63,28 +63,20 @@ def classify_repetitions(repetitions: RepetitionSet) -> Regime:
     return regimes[0]
 
 
-def classify_sweep_point(sweep: SweepResult, parameter: float) -> Regime:
-    """Classify one swept parameter value."""
-    return classify_repetitions(sweep.repetitions_at(parameter))
+def classify_sweep(sweep: Mapping[float, RepetitionSet]) -> Dict[float, Regime]:
+    """Classify every point of a sweep, in parameter order."""
+    return {parameter: classify_repetitions(sweep[parameter]) for parameter in sorted(sweep)}
 
 
-def classify_sweep(sweep: SweepResult) -> Dict[float, Regime]:
-    """Classify every point of a sweep."""
-    return {parameter: classify_sweep_point(sweep, parameter) for parameter in sweep.parameters()}
-
-
-def regime_ranges(sweep: SweepResult) -> List[Tuple[Regime, float, float]]:
+def regime_ranges(sweep: Mapping[float, RepetitionSet]) -> List[Tuple[Regime, float, float]]:
     """Contiguous parameter ranges per regime, in sweep order.
 
     Returns a list of ``(regime, first_parameter, last_parameter)`` tuples --
     the machine-readable version of "for file sizes less than 384 MB ... for
     file sizes greater than 448 MB ...".
     """
-    labelled = classify_sweep(sweep)
-    parameters = sweep.parameters()
     ranges: List[Tuple[Regime, float, float]] = []
-    for parameter in parameters:
-        regime = labelled[parameter]
+    for parameter, regime in classify_sweep(sweep).items():
         if ranges and ranges[-1][0] is regime:
             ranges[-1] = (regime, ranges[-1][1], parameter)
         else:
@@ -92,12 +84,11 @@ def regime_ranges(sweep: SweepResult) -> List[Tuple[Regime, float, float]]:
     return ranges
 
 
-def per_regime_summary(sweep: SweepResult) -> Dict[Regime, Dict[str, float]]:
+def per_regime_summary(sweep: Mapping[float, RepetitionSet]) -> Dict[Regime, Dict[str, float]]:
     """Mean throughput and spread per regime (the honest way to summarise Figure 1)."""
-    labelled = classify_sweep(sweep)
     grouped: Dict[Regime, List[float]] = {}
-    for parameter, regime in labelled.items():
-        grouped.setdefault(regime, []).extend(sweep.repetitions_at(parameter).throughputs())
+    for parameter, regime in classify_sweep(sweep).items():
+        grouped.setdefault(regime, []).extend(sweep[parameter].throughputs())
     summary: Dict[Regime, Dict[str, float]] = {}
     for regime, values in grouped.items():
         mean = sum(values) / len(values)

@@ -3,19 +3,20 @@
 Figure 1's cliff and the Section 3.1 zoom ("performance drops within an even
 narrower region -- less than 6 MB in size") are both statements about where,
 and how abruptly, a sweep's throughput collapses.  :func:`find_transition`
-extracts that from a finished :class:`~repro.core.results.SweepResult`;
-:func:`refine_transition` runs additional measurements to narrow the region,
-bisection style, the way the authors zoomed in.  Together they are the
-package's only cliff locator: :func:`~repro.experiments.run_transition_zoom`
-drives them, running each measurement as an ``Experiment``.
+extracts that from a finished sweep, a ``{parameter: RepetitionSet}``
+mapping; :func:`refine_transition` runs additional measurements to narrow
+the region, bisection style, the way the authors zoomed in.  Together they
+are the package's only cliff locator:
+:func:`~repro.experiments.run_transition_zoom` drives them, running each
+sweep as one ``Experiment`` and each bisection step as another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Mapping, Optional, Tuple
 
-from repro.core.results import RepetitionSet, SweepResult
+from repro.core.results import RepetitionSet
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,9 @@ class TransitionRegion:
         )
 
 
-def find_transition(sweep: SweepResult, min_drop_factor: float = 2.0) -> Optional[TransitionRegion]:
+def find_transition(
+    sweep: Mapping[float, RepetitionSet], min_drop_factor: float = 2.0
+) -> Optional[TransitionRegion]:
     """Find the sharpest adjacent-point throughput change in a sweep.
 
     Returns ``None`` when no adjacent pair changes by at least
@@ -58,7 +61,7 @@ def find_transition(sweep: SweepResult, min_drop_factor: float = 2.0) -> Optiona
     """
     if min_drop_factor <= 1.0:
         raise ValueError("min_drop_factor must exceed 1")
-    means = sweep.mean_throughputs()
+    means = [(parameter, sweep[parameter].throughput_summary().mean) for parameter in sorted(sweep)]
     if len(means) < 2:
         return None
     best: Optional[TransitionRegion] = None

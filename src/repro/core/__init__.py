@@ -14,7 +14,7 @@ subpackage is that methodology as a library:
   bi-modality detection, fragility metrics.
 * :mod:`repro.core.steady_state` -- warm-up trimming and steady-state
   detection.
-* :mod:`repro.core.results` -- run/repetition/sweep result containers.
+* :mod:`repro.core.results` -- run and per-cell repetition containers.
 * :mod:`repro.core.runner` -- the measurement protocol: repetitions,
   cache-state control, environment-noise injection, interval sampling.
 * :mod:`repro.core.parallel` -- process-pool fan-out over repetitions and the
@@ -34,7 +34,7 @@ subpackage is that methodology as a library:
 from repro.core.dimensions import Coverage, Dimension, DimensionVector
 from repro.core.histogram import LatencyHistogram, bucket_label
 from repro.core.persistence import load_run_result, save_run_result
-from repro.core.results import RepetitionSet, RunResult, SweepResult
+from repro.core.results import RepetitionSet, RunResult
 from repro.core.runner import (
     BenchmarkConfig,
     BenchmarkRunner,
@@ -97,7 +97,6 @@ __all__ = [
     "bucket_label",
     "RepetitionSet",
     "RunResult",
-    "SweepResult",
     "BenchmarkConfig",
     "BenchmarkRunner",
     "EnvironmentNoise",

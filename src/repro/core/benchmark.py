@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.core.dimensions import Dimension, DimensionVector
-from repro.core.results import RepetitionSet
-from repro.core.runner import BenchmarkConfig, BenchmarkRunner
-from repro.storage.config import TestbedConfig
+from repro.core.runner import BenchmarkConfig
 from repro.workloads.spec import WorkloadSpec
 
 
@@ -38,7 +36,8 @@ class NanoBenchmark:
     config:
         The measurement protocol appropriate for this benchmark (e.g. a
         cold-cache protocol for on-disk benchmarks, a pre-warmed protocol for
-        in-memory benchmarks).  ``None`` means "use the runner's default".
+        in-memory benchmarks).  ``None`` means the default
+        :class:`BenchmarkConfig`.
     """
 
     name: str
@@ -58,21 +57,6 @@ class NanoBenchmark:
                 return dimension
         covered = self.dimensions.covered_dimensions()
         return covered[0] if covered else None
-
-    def run(
-        self,
-        fs_type: str,
-        testbed: Optional[TestbedConfig] = None,
-        config: Optional[BenchmarkConfig] = None,
-    ) -> RepetitionSet:
-        """Run this nano-benchmark against one file system.
-
-        ``config`` overrides the benchmark's own protocol when given (used by
-        quick-look runs and by tests).
-        """
-        effective = config or self.config or BenchmarkConfig()
-        runner = BenchmarkRunner(fs_type=fs_type, testbed=testbed, config=effective)
-        return runner.run(self.build_workload(), label=f"{self.name}@{fs_type}")
 
     def describe(self) -> str:
         """One-line description including the dimension claim."""

@@ -33,15 +33,17 @@ Axes
 ``seed``
     Effective seeds, pooled into the repetitions of each cell rather than
     multiplying the cell count; without a seed axis each cell runs
-    ``config.repetitions`` repetitions from ``config.seed`` exactly like the
-    legacy loops.
+    ``config.repetitions`` repetitions, repetition ``i`` with seed
+    ``config.seed + i``.
 anything else
     A field of :class:`~repro.core.runner.BenchmarkConfig` (``duration_s``,
     ``warmup_mode``, ...), overridden per cell.
 
 Results land in a tidy :class:`~repro.core.frame.ResultFrame` (one row per
-repetition x metric) carried by the :class:`ExperimentResult`, alongside the
-familiar per-cell :class:`~repro.core.results.RepetitionSet` containers.
+repetition x metric) carried by the :class:`ExperimentResult`, alongside one
+:class:`~repro.core.results.RepetitionSet` per cell.  The result is the only
+place an experiment's runs are read from: a harness looks a cell up by its
+axes (:meth:`ExperimentResult.result_for`) or by its position in ``cells``.
 """
 
 from __future__ import annotations
@@ -212,8 +214,8 @@ class ExperimentCell:
 
         Repetition ``i`` runs with effective seed ``seeds[i]``; the unit's
         config is rebased so ``config.seed + i == seeds[i]``, which keeps the
-        runner's contract (and therefore the cache keys and the bit-identity
-        with the legacy serial loops) exactly as it was.
+        runner's contract, and therefore the cache keys and the payloads of
+        ``BenchmarkRunner.run_once(spec, i)``, exactly as they were.
         """
         return [
             WorkUnit(
@@ -235,7 +237,7 @@ class ExperimentResult:
     """Everything an :class:`Experiment` run produced.
 
     ``frame`` is the tidy record table (the analysis lingua franca); ``sets``
-    keeps the familiar per-cell :class:`RepetitionSet` containers for code
+    holds each cell's :class:`RepetitionSet`, keyed by cell label, for code
     that wants histograms and timelines.
     """
 

@@ -285,9 +285,9 @@ def execute_unit(unit: WorkUnit) -> RunResult:
 def group_label(benchmark_name: str, fs_type: str) -> str:
     """Label of the repetition set for one (benchmark, file system) cell.
 
-    The single definition shared by :class:`~repro.core.experiment.Experiment`
-    cell labels and the harnesses that look a cell up by them, matching the
-    label the serial ``NanoBenchmark.run`` method uses.
+    The base of every :class:`~repro.core.experiment.Experiment` cell label.
+    Harnesses read a cell by its axes or its position, not by rebuilding
+    this label.
     """
     return f"{benchmark_name}@{fs_type}"
 

@@ -10,11 +10,11 @@ declare winners the data cannot support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.histogram import LatencyHistogram
-from repro.core.results import RepetitionSet, SweepResult
-from repro.core.stats import overlapping_confidence_intervals
+from repro.core.results import RepetitionSet
+from repro.core.stats import dynamic_range, fragility_index, overlapping_confidence_intervals
 from repro.core.timeline import IntervalSeries
 
 
@@ -76,13 +76,15 @@ def ascii_plot(
     return "\n".join(lines)
 
 
-def sweep_table(sweep: SweepResult, parameter_format: str = "{:.0f}") -> str:
-    """A Figure-1-style table: parameter, mean, stddev, relative stddev, CI."""
+def sweep_table(sweep: Mapping[float, RepetitionSet]) -> str:
+    """A Figure-1-style table: file size in bytes, mean, stddev, relative stddev, CI."""
+    summaries = [(size, sweep[size].throughput_summary()) for size in sorted(sweep)]
+    means = [(size, summary.mean) for size, summary in summaries]
     rows = []
-    for parameter, summary in sweep.throughput_summaries():
+    for size, summary in summaries:
         rows.append(
             [
-                parameter_format.format(parameter),
+                f"{size:.0f}",
                 f"{summary.mean:.0f}",
                 f"{summary.stddev:.0f}",
                 f"{summary.relative_stddev_percent:.1f}%",
@@ -91,7 +93,7 @@ def sweep_table(sweep: SweepResult, parameter_format: str = "{:.0f}") -> str:
             ]
         )
     header = [
-        f"{sweep.parameter_name} ({sweep.unit})" if sweep.unit else sweep.parameter_name,
+        "file_size (bytes)",
         "mean ops/s",
         "stddev",
         "rel stddev",
@@ -100,8 +102,8 @@ def sweep_table(sweep: SweepResult, parameter_format: str = "{:.0f}") -> str:
     ]
     table = format_table(header, rows)
     footer = (
-        f"\nDynamic range across the sweep: {sweep.dynamic_range():.1f}x; "
-        f"fragility index {sweep.fragility():.2f} "
+        f"\nDynamic range across the sweep: {dynamic_range([m for _, m in means]):.1f}x; "
+        f"fragility index {fragility_index(means):.2f} "
         "(max relative change between adjacent parameter values)"
     )
     return table + footer
@@ -169,7 +171,7 @@ class ReportBuilder:
         self.sections.append(ReportSection(title=title, body=body))
         return self
 
-    def add_sweep(self, title: str, sweep: SweepResult) -> "ReportBuilder":
+    def add_sweep(self, title: str, sweep: Mapping[float, RepetitionSet]) -> "ReportBuilder":
         """Append a sweep table section."""
         return self.add_section(title, sweep_table(sweep))
 

@@ -1,18 +1,23 @@
-"""Result containers: runs, repetition sets and parameter sweeps.
+"""Result containers: one run and the repetitions of one experiment cell.
 
 The containers deliberately keep *more* than a single number per run -- the
 full latency histogram, the interval timeline and (optionally) the raw
 latencies -- because the paper's whole argument is that the single number is
 the problem.  Reporting code decides later how much of that to show.
+
+:class:`~repro.core.experiment.ExperimentResult` holds one
+:class:`RepetitionSet` per cell; a parameter sweep is a plain
+``{parameter value: RepetitionSet}`` mapping of such cells (see
+:func:`repro.experiments.figure1.measure_file_sizes`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.histogram import LatencyHistogram
-from repro.core.stats import SummaryStatistics, fragility_index, summarize
+from repro.core.stats import SummaryStatistics, summarize
 from repro.core.timeline import HistogramTimeline, IntervalSeries
 
 
@@ -166,53 +171,3 @@ class RepetitionSet:
     def first(self) -> RunResult:
         """The first repetition (raises ``IndexError`` when empty)."""
         return self.runs[0]
-
-
-@dataclass
-class SweepResult:
-    """Results of sweeping one parameter (e.g. file size) across repetition sets."""
-
-    parameter_name: str
-    unit: str = ""
-    points: Dict[float, RepetitionSet] = field(default_factory=dict)
-
-    def add(self, parameter_value: float, repetitions: RepetitionSet) -> None:
-        """Record the repetition set measured at one parameter value."""
-        self.points[float(parameter_value)] = repetitions
-
-    def parameters(self) -> List[float]:
-        """Swept parameter values in ascending order."""
-        return sorted(self.points)
-
-    def repetitions_at(self, parameter_value: float) -> RepetitionSet:
-        """The repetition set measured at ``parameter_value``."""
-        return self.points[float(parameter_value)]
-
-    def throughput_summaries(self) -> List[Tuple[float, SummaryStatistics]]:
-        """(parameter, throughput summary) pairs in parameter order."""
-        return [(value, self.points[value].throughput_summary()) for value in self.parameters()]
-
-    def mean_throughputs(self) -> List[Tuple[float, float]]:
-        """(parameter, mean throughput) pairs -- the Figure 1 curve."""
-        return [(value, summary.mean) for value, summary in self.throughput_summaries()]
-
-    def relative_stddevs(self) -> List[Tuple[float, float]]:
-        """(parameter, relative stddev %) pairs -- Figure 1's right-hand axis."""
-        return [
-            (value, summary.relative_stddev_percent)
-            for value, summary in self.throughput_summaries()
-        ]
-
-    def fragility(self) -> float:
-        """Fragility index of mean throughput across the sweep (see stats)."""
-        return fragility_index(self.mean_throughputs())
-
-    def dynamic_range(self) -> float:
-        """Ratio between the largest and smallest mean throughput in the sweep."""
-        means = [m for _, m in self.mean_throughputs() if m > 0]
-        if len(means) < 2:
-            return 1.0
-        return max(means) / min(means)
-
-    def __len__(self) -> int:
-        return len(self.points)

@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.concurrency import ClientSession, build_sessions, client_metrics, run_window
 from repro.core.histogram import LatencyHistogram
-from repro.core.results import RepetitionSet, RunResult
+from repro.core.results import RunResult
 from repro.core.steady_state import SteadyStateDetector
 from repro.core.timeline import HistogramTimeline, IntervalSeries
 from repro.fs.stack import StorageStack, build_stack
@@ -182,8 +182,8 @@ def run_single_repetition(
     :class:`BenchmarkRunner` with the default stack factory and returns
     ``runner.run_once(spec, repetition)``.  Because the runner derives every
     random source from ``config.seed + repetition``, calling this in any
-    process, in any order, yields results bit-identical to the serial loop
-    in :meth:`BenchmarkRunner.run`.
+    process, in any order, yields results bit-identical to calling
+    ``run_once`` for each repetition in turn in one process.
 
     ``snapshot_path`` is the aging axis: when given, every repetition starts
     from the aged state stored in that
@@ -333,13 +333,6 @@ class BenchmarkRunner:
         )
 
     # ----------------------------------------------------------- public API
-    def run(self, spec: WorkloadSpec, label: Optional[str] = None) -> RepetitionSet:
-        """Run all repetitions of ``spec``; returns the populated repetition set."""
-        repetitions = RepetitionSet(label=label or f"{spec.name}@{self.fs_type}")
-        for repetition in range(self.config.repetitions):
-            repetitions.add(self.run_once(spec, repetition))
-        return repetitions
-
     def run_once(self, spec: WorkloadSpec, repetition: int = 0) -> RunResult:
         """Run a single repetition of ``spec`` and return its :class:`RunResult`.
 

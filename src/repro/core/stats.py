@@ -15,6 +15,8 @@ reporting layer uses to surface those effects:
   complement histogram mode counting;
 * :func:`fragility_index` -- how much a metric moves for a small change of a
   control parameter (the paper's "just a few megabytes" observation);
+* :func:`dynamic_range` -- how far apart the best and worst values of a
+  sweep lie;
 * :func:`required_repetitions` -- how many repetitions are needed for a target
   confidence-interval width;
 * :func:`welch_t_test` / :func:`overlapping_confidence_intervals` -- honest
@@ -271,6 +273,14 @@ def fragility_index(
             continue
         worst = max(worst, abs(right - left) / denom)
     return worst
+
+
+def dynamic_range(values: Sequence[float]) -> float:
+    """Ratio between the largest and smallest positive value (1.0 below two)."""
+    positive = [value for value in values if value > 0]
+    if len(positive) < 2:
+        return 1.0
+    return max(positive) / min(positive)
 
 
 def required_repetitions(

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.benchmark import NanoBenchmark
 from repro.core.dimensions import Dimension, DimensionVector
 from repro.core.experiment import Experiment, ParameterGrid
-from repro.core.parallel import ParallelExecutor, group_label
+from repro.core.parallel import ParallelExecutor
 from repro.core.results import RepetitionSet
 from repro.core.runner import BenchmarkConfig, WarmupMode
 from repro.fs.stack import DEFAULT_FS_TYPES
@@ -224,12 +224,11 @@ class NanoBenchmarkSuite:
         """This suite as a declarative :class:`~repro.core.experiment.Experiment`.
 
         The grid is ``workload (the suite's benchmarks) x fs`` -- plus the
-        aging snapshot when configured -- expanded workload-major exactly
-        like the legacy serial loop.  Duplicate file system names are
-        dropped (keeping first occurrence), matching the old behaviour where
-        a repeated ``--fs`` simply overwrote the same result cell.  A
-        snapshot that holds another file system's state is rejected when the
-        cells expand, before anything is measured.
+        aging snapshot when configured -- expanded workload-major.  Duplicate
+        file system names are dropped (keeping first occurrence), matching
+        the old behaviour where a repeated ``--fs`` simply overwrote the same
+        result cell.  A snapshot that holds another file system's state is
+        rejected when the cells expand, before anything is measured.
         """
         if not fs_types:
             raise ValueError("fs_types must not be empty")
@@ -254,19 +253,19 @@ class NanoBenchmarkSuite:
     ) -> SuiteResult:
         """Run every benchmark on every file system.
 
-        Since the experiment-API redesign this is a thin shim: the suite
-        declares itself as an :class:`~repro.core.experiment.Experiment`
-        (see :meth:`as_experiment`) and reassembles the familiar
-        :class:`SuiteResult`; results and cache keys are bit-identical to
-        the pre-redesign path.  ``executor`` overrides the one the
-        experiment builds from ``n_workers`` and ``cache_dir`` (used by
-        surveys that share one cache and worker pool across several suites).
+        The suite runs as one :class:`~repro.core.experiment.Experiment`
+        (see :meth:`as_experiment`) and files each cell's repetition set
+        under its benchmark, so :class:`SuiteResult` can carry each
+        benchmark's description and dimension claim for the report.
+        ``executor`` overrides the one the experiment builds from
+        ``n_workers`` and ``cache_dir`` (used by surveys that share one
+        cache and worker pool across several suites).
         """
         outcome = self.as_experiment(fs_types).run(executor=executor)
         suite_result = SuiteResult(testbed=self.testbed)
         for benchmark in self.benchmarks:
             for fs_type in dict.fromkeys(fs_types):
                 suite_result.add(
-                    benchmark, fs_type, outcome.sets[group_label(benchmark.name, fs_type)]
+                    benchmark, fs_type, outcome.result_for(workload=benchmark.name, fs=fs_type)
                 )
         return suite_result

@@ -15,15 +15,14 @@ paper's observations this harness must reproduce:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.fragility import FragilityReport, assess_sweep
 from repro.analysis.transition import TransitionRegion, find_transition
 from repro.core.experiment import Experiment, ParameterGrid
 from repro.core.frame import ResultFrame, rows_for_run
-from repro.core.parallel import group_label
 from repro.core.report import checks_line, sweep_table
-from repro.core.results import RepetitionSet, SweepResult
+from repro.core.results import RepetitionSet
 from repro.core.runner import BenchmarkConfig, WarmupMode
 from repro.experiments.config import ExperimentScale, MiB, default_scale
 from repro.storage.config import TestbedConfig, paper_testbed
@@ -37,12 +36,37 @@ PAPER_FIGURE1_OPS_S: Dict[int, float] = {
 }
 
 
+def measure_file_sizes(
+    fs_type: str,
+    sizes_bytes: Sequence[float],
+    config: BenchmarkConfig,
+    testbed: TestbedConfig,
+    name: str,
+) -> Dict[float, RepetitionSet]:
+    """Random-read every file size as one :class:`~repro.core.experiment.Experiment`.
+
+    Returns the sweep ``{file size in bytes: RepetitionSet}``; a repeated
+    size runs once.  Each size's cell is read by position, because sizes
+    within one MiB share a spec name (``random-read-8m``) and so a label.
+    """
+    sizes = list(dict.fromkeys(float(size) for size in sizes_bytes))
+    outcome = Experiment(
+        grid=ParameterGrid.of(
+            workload=[random_read_workload(int(size)) for size in sizes], fs=[fs_type]
+        ),
+        name=name,
+        config=config,
+        testbed=testbed,
+    ).run()
+    return {size: outcome.sets[cell.label] for size, cell in zip(sizes, outcome.cells)}
+
+
 @dataclass
 class Figure1Result:
     """Measured Figure 1 data plus the paper's reference values."""
 
     fs_type: str
-    sweep: SweepResult
+    sweep: Dict[float, RepetitionSet]
     transition: Optional[TransitionRegion]
     fragility: FragilityReport
     scale_name: str
@@ -50,8 +74,8 @@ class Figure1Result:
     def to_frame(self) -> ResultFrame:
         """The sweep as a tidy frame (one row per size x repetition x metric)."""
         frame = ResultFrame()
-        for size_bytes in self.sweep.parameters():
-            for run in self.sweep.repetitions_at(size_bytes):
+        for size_bytes in sorted(self.sweep):
+            for run in self.sweep[size_bytes]:
                 frame.extend(
                     rows_for_run(
                         {
@@ -67,9 +91,9 @@ class Figure1Result:
     def rows(self) -> List[Tuple[int, float, float]]:
         """(file size MiB, mean ops/s, relative stddev %) rows in sweep order."""
         rows = []
-        rsd = dict(self.sweep.relative_stddevs())
-        for size_bytes, mean in self.sweep.mean_throughputs():
-            rows.append((int(size_bytes // MiB), mean, rsd[size_bytes]))
+        for size_bytes in sorted(self.sweep):
+            summary = self.sweep[size_bytes].throughput_summary()
+            rows.append((int(size_bytes // MiB), summary.mean, summary.relative_stddev_percent))
         return rows
 
     def memory_bound_mean(self) -> float:
@@ -113,7 +137,7 @@ class Figure1Result:
         lines = [
             f"Figure 1 reproduction -- {self.fs_type} random read, {self.scale_name} scale",
             "",
-            sweep_table(self.sweep, parameter_format="{:.0f}"),
+            sweep_table(self.sweep),
             "",
         ]
         if self.transition is not None:
@@ -141,7 +165,7 @@ def run_figure1(
     """Run the Figure 1 sweep and return its result object.
 
     The sweep is one :class:`~repro.core.experiment.Experiment` with a
-    workload axis of per-size random-read specs.
+    workload axis of per-size random-read specs (:func:`measure_file_sizes`).
     """
     scale = scale if scale is not None else default_scale()
     scale.validate()
@@ -155,21 +179,9 @@ def run_figure1(
         interval_s=max(1.0, scale.figure1_duration_s / 5.0),
         seed=seed,
     )
-    specs = {size_mb: random_read_workload(size_mb * MiB) for size_mb in sizes}
-    outcome = Experiment(
-        grid=ParameterGrid.of(workload=list(specs.values()), fs=[fs_type]),
-        name="figure1",
-        config=config,
-        testbed=testbed,
-    ).run()
-
-    sweep = SweepResult(parameter_name="file_size", unit="bytes")
-    for size_mb, spec in specs.items():
-        repetitions = outcome.sets[group_label(spec.name, fs_type)]
-        sweep.add(
-            size_mb * MiB, RepetitionSet(label=f"{size_mb}MB", runs=list(repetitions.runs))
-        )
-
+    sweep = measure_file_sizes(
+        fs_type, [size_mb * MiB for size_mb in sizes], config, testbed, "figure1"
+    )
     return Figure1Result(
         fs_type=fs_type,
         sweep=sweep,

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.experiment import Experiment, ParameterGrid
 from repro.core.frame import ResultFrame
-from repro.core.parallel import group_label
 from repro.core.report import checks_line
 from repro.core.results import RunResult
 from repro.core.runner import BenchmarkConfig, EnvironmentNoise, WarmupMode
@@ -184,5 +183,5 @@ def run_figure2(
     ).run()
     result = Figure2Result(file_size_bytes=file_size, scale_name=scale.name)
     for fs_type in ordered_fs:
-        result.runs[fs_type] = outcome.sets[group_label(spec.name, fs_type)].first()
+        result.runs[fs_type] = outcome.result_for(fs=fs_type).first()
     return result

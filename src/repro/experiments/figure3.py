@@ -18,15 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.experiment import Experiment, ParameterGrid
 from repro.core.histogram import LatencyHistogram, bucket_label
-from repro.core.parallel import group_label
 from repro.core.report import checks_line
 from repro.core.results import RunResult
 from repro.core.runner import BenchmarkConfig, WarmupMode
 from repro.experiments.config import ExperimentScale, MiB, default_scale
+from repro.experiments.figure1 import measure_file_sizes
 from repro.storage.config import TestbedConfig, paper_testbed
-from repro.workloads.micro import random_read_workload
 
 #: Bucket index (log2 ns) of a ~4 us cache-hit peak.
 MEMORY_PEAK_BUCKET_RANGE = (10, 15)
@@ -107,7 +105,7 @@ def run_figure3(
     """Collect the Figure 3 latency histograms.
 
     The histograms come from one :class:`~repro.core.experiment.Experiment`
-    with a per-size workload axis.
+    with a per-size workload axis (:func:`measure_file_sizes`).
     """
     scale = scale if scale is not None else default_scale()
     scale.validate()
@@ -123,17 +121,12 @@ def run_figure3(
         cold_cache=True,
         seed=seed,
     )
-    specs = {size_mb: random_read_workload(size_mb * MiB) for size_mb in sizes}
-    outcome = Experiment(
-        grid=ParameterGrid.of(workload=list(specs.values()), fs=[fs_type]),
-        name="figure3",
-        config=config,
-        testbed=testbed,
-    ).run()
-
+    sweep = measure_file_sizes(
+        fs_type, [size_mb * MiB for size_mb in sizes], config, testbed, "figure3"
+    )
     result = Figure3Result(scale_name=scale.name)
-    for size_mb, spec in specs.items():
-        run = outcome.sets[group_label(spec.name, fs_type)].first()
+    for size_mb in sizes:
+        run = sweep[size_mb * MiB].first()
         result.histograms[size_mb] = run.histogram
         result.runs[size_mb] = run
     return result

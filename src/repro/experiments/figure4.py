@@ -16,17 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.experiment import Experiment, ParameterGrid
 from repro.core.frame import ResultFrame
-from repro.core.parallel import group_label
 from repro.core.report import checks_line
 from repro.core.results import RunResult
 from repro.core.runner import BenchmarkConfig, EnvironmentNoise, WarmupMode
 from repro.core.timeline import HistogramTimeline
 from repro.experiments.config import ExperimentScale, MiB, default_scale
+from repro.experiments.figure1 import measure_file_sizes
 from repro.experiments.figure3 import DISK_PEAK_BUCKET_RANGE, MEMORY_PEAK_BUCKET_RANGE
 from repro.storage.config import TestbedConfig, paper_testbed
-from repro.workloads.micro import random_read_workload
 
 
 @dataclass
@@ -127,7 +125,8 @@ def run_figure4(
 ) -> Figure4Result:
     """Run the histogram-over-time experiment.
 
-    The run is one single-cell :class:`~repro.core.experiment.Experiment`.
+    The run is one single-cell :class:`~repro.core.experiment.Experiment`
+    (:func:`measure_file_sizes` of one size).
     """
     scale = scale if scale is not None else default_scale()
     scale.validate()
@@ -144,16 +143,10 @@ def run_figure4(
         seed=seed,
         noise=EnvironmentNoise(enabled=False),
     )
-    spec = random_read_workload(file_size)
-    outcome = Experiment(
-        grid=ParameterGrid.of(workload=[spec], fs=[fs_type]),
-        name="figure4",
-        config=config,
-        testbed=testbed,
-    ).run()
+    sweep = measure_file_sizes(fs_type, [file_size], config, testbed, "figure4")
     return Figure4Result(
         fs_type=fs_type,
         file_size_bytes=file_size,
-        run=outcome.sets[group_label(spec.name, fs_type)].first(),
+        run=sweep[file_size].first(),
         scale_name=scale.name,
     )

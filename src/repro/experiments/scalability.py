@@ -401,11 +401,6 @@ def run_scalability(
         ),
     }
 
-    frame = ResultFrame()
-    for outcome in (devices, aged):
-        for row in outcome.frame.rows:
-            frame.append(dict(row))
-
     workload_name = devices.cells[0].axes.get("workload", str(workload))
     return ScalabilityResult(
         fs_type=fs_type,
@@ -413,6 +408,6 @@ def run_scalability(
         testbed=testbed,
         clients=tuple(counts),
         series=series,
-        frame=frame,
+        frame=devices.frame + aged.frame,
         snapshot_path=snapshot_path,
     )

@@ -14,17 +14,15 @@ measures how the relative standard deviation spikes inside it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.transition import TransitionRegion, find_transition, refine_transition
-from repro.core.experiment import Experiment, ParameterGrid
-from repro.core.parallel import group_label
 from repro.core.report import checks_line, sweep_table
-from repro.core.results import RepetitionSet, SweepResult
+from repro.core.results import RepetitionSet
 from repro.core.runner import BenchmarkConfig, WarmupMode
 from repro.experiments.config import ExperimentScale, MiB, default_scale
+from repro.experiments.figure1 import measure_file_sizes
 from repro.storage.config import TestbedConfig, paper_testbed
-from repro.workloads.micro import random_read_workload
 
 
 @dataclass
@@ -32,8 +30,8 @@ class TransitionZoomResult:
     """Outcome of zooming into the memory-to-disk transition."""
 
     fs_type: str
-    coarse_sweep: SweepResult
-    fine_sweep: SweepResult
+    coarse_sweep: Dict[float, RepetitionSet]
+    fine_sweep: Dict[float, RepetitionSet]
     coarse_region: Optional[TransitionRegion]
     refined_region: Optional[TransitionRegion]
     extra_measurements: int
@@ -47,12 +45,12 @@ class TransitionZoomResult:
 
     def peak_rsd_percent(self) -> float:
         """Largest relative standard deviation seen across the fine sweep."""
-        return max((rsd for _, rsd in self.fine_sweep.relative_stddevs()), default=0.0)
+        return max(_relative_stddevs(self.fine_sweep), default=0.0)
 
     def checks(self) -> Dict[str, bool]:
         """The paper's qualitative claims, evaluated against the measured data."""
         width = self.refined_width_mb()
-        memory_rsds = [rsd for _, rsd in self.coarse_sweep.relative_stddevs()]
+        memory_rsds = _relative_stddevs(self.coarse_sweep)
         baseline_rsd = min(memory_rsds) if memory_rsds else 0.0
         return {
             "transition_found": self.refined_region is not None,
@@ -80,6 +78,11 @@ class TransitionZoomResult:
         return "\n".join(lines)
 
 
+def _relative_stddevs(sweep: Dict[float, RepetitionSet]) -> List[float]:
+    """Each size's relative standard deviation of throughput, in percent."""
+    return [reps.throughput_summary().relative_stddev_percent for reps in sweep.values()]
+
+
 def run_transition_zoom(
     fs_type: str = "ext2",
     testbed: Optional[TestbedConfig] = None,
@@ -90,9 +93,10 @@ def run_transition_zoom(
 ) -> TransitionZoomResult:
     """Locate the Figure-1 cliff, bisect it, and sweep finely across it.
 
-    Every measurement is one single-cell
-    :class:`~repro.core.experiment.Experiment` run (the zoom is adaptive, so
-    the grid is built one point at a time).
+    The coarse and the fine sweep each run as one
+    :class:`~repro.core.experiment.Experiment` (:func:`measure_file_sizes`);
+    each bisection step is a single-cell one, because the next size depends
+    on the last.
     """
     scale = scale if scale is not None else default_scale()
     scale.validate()
@@ -108,34 +112,23 @@ def run_transition_zoom(
         seed=seed,
     )
 
-    def measure(size_bytes: float) -> RepetitionSet:
-        spec = random_read_workload(int(size_bytes))
-        outcome = Experiment(
-            grid=ParameterGrid.of(workload=[spec], fs=[fs_type]),
-            name="transition-zoom",
-            config=config,
-            testbed=testbed,
-        ).run()
-        repetitions = outcome.sets[group_label(spec.name, fs_type)]
-        return RepetitionSet(
-            label=f"zoom-{int(size_bytes) // MiB}MB", runs=list(repetitions.runs)
-        )
+    def measure(sizes_bytes: Sequence[float]) -> Dict[float, RepetitionSet]:
+        return measure_file_sizes(fs_type, sizes_bytes, config, testbed, "transition-zoom")
 
     # Coarse sweep bracketing the expected cliff (cache capacity +/- 64 MB);
     # a cache of 64 MB or less has no room for the sizes below it.
     cache_bytes = testbed.page_cache_bytes
-    coarse = SweepResult(parameter_name="file_size", unit="bytes")
-    for offset_mb in (-64, -32, 0, 32, 64):
-        size = cache_bytes + offset_mb * MiB
-        if size > 0:
-            coarse.add(size, measure(size))
+    coarse_sizes = [cache_bytes + offset_mb * MiB for offset_mb in (-64, -32, 0, 32, 64)]
+    coarse = measure([size for size in coarse_sizes if size > 0])
 
     coarse_region = find_transition(coarse)
     refined_region = None
     extra = 0
     if coarse_region is not None:
         refined_region, extra = refine_transition(
-            coarse_region, measure, target_width=target_width_mb * MiB
+            coarse_region,
+            lambda size: measure([size])[size],
+            target_width=target_width_mb * MiB,
         )
 
     # Fine sweep across (a neighbourhood of) the refined region.
@@ -144,11 +137,11 @@ def run_transition_zoom(
         if refined_region is not None
         else cache_bytes
     )
-    fine = SweepResult(parameter_name="file_size", unit="bytes")
-    for offset_mb in range(-2 * fine_step_mb, 2 * fine_step_mb + 1, fine_step_mb):
-        size = int(center + offset_mb * MiB)
-        if size > 0:
-            fine.add(size, measure(size))
+    fine_sizes = [
+        int(center + offset_mb * MiB)
+        for offset_mb in range(-2 * fine_step_mb, 2 * fine_step_mb + 1, fine_step_mb)
+    ]
+    fine = measure([size for size in fine_sizes if size > 0])
 
     return TransitionZoomResult(
         fs_type=fs_type,

@@ -4,7 +4,7 @@ All latencies produced by the storage substrate, the file systems and the
 workload engine are expressed in nanoseconds of *simulated* time and charged
 against a :class:`VirtualClock`.  Using a virtual clock rather than wall-clock
 time is what makes the reproduction independent of Python interpreter
-overhead (see DESIGN.md, "Substitutions").
+overhead (see docs/architecture.md, section 1, "The simulation stack").
 """
 
 from __future__ import annotations

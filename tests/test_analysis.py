@@ -18,7 +18,7 @@ from repro.analysis.transition import (
     find_transition,
     refine_transition,
 )
-from repro.core.results import RepetitionSet, SweepResult
+from repro.core.results import RepetitionSet
 from tests.test_results_and_runner import make_run
 
 
@@ -37,12 +37,12 @@ def repetitions_at(throughput, hit_ratio, n=3, spread=0.01, latencies=None):
 
 
 def figure1_like_sweep():
-    sweep = SweepResult(parameter_name="file_size", unit="MB")
-    sweep.add(64, repetitions_at(9700.0, 1.0))
-    sweep.add(256, repetitions_at(9650.0, 1.0))
-    sweep.add(448, repetitions_at(1000.0, 0.9, spread=0.3))
-    sweep.add(1024, repetitions_at(200.0, 0.4))
-    return sweep
+    return {
+        64.0: repetitions_at(9700.0, 1.0),
+        256.0: repetitions_at(9650.0, 1.0),
+        448.0: repetitions_at(1000.0, 0.9, spread=0.3),
+        1024.0: repetitions_at(200.0, 0.4),
+    }
 
 
 class TestRegimes:
@@ -91,9 +91,7 @@ class TestTransition:
         assert region.drop_factor > 5
 
     def test_no_transition_in_flat_sweep(self):
-        sweep = SweepResult(parameter_name="x")
-        for value in (1, 2, 3):
-            sweep.add(value, repetitions_at(100.0, 1.0))
+        sweep = {float(value): repetitions_at(100.0, 1.0) for value in (1, 2, 3)}
         assert find_transition(sweep) is None
 
     def test_invalid_min_drop_factor(self):
@@ -166,9 +164,7 @@ class TestFragility:
         assert "SEVERE" in report.format()
 
     def test_clean_sweep_report(self):
-        sweep = SweepResult(parameter_name="x")
-        for value in (1, 2):
-            sweep.add(value, repetitions_at(100.0, 1.0))
+        sweep = {float(value): repetitions_at(100.0, 1.0) for value in (1, 2)}
         report = assess_sweep(sweep)
         assert report.is_clean
         assert "No fragility indicators" in report.format()
@@ -193,13 +189,9 @@ class TestComparison:
         assert "faster" in verdict.format()
 
     def test_sweep_comparison_finds_crossover(self):
-        sweep_a = SweepResult(parameter_name="size")
-        sweep_b = SweepResult(parameter_name="size")
         # A wins at small sizes, B wins at large sizes.
-        sweep_a.add(1, repetitions_at(1000.0, 1.0))
-        sweep_b.add(1, repetitions_at(500.0, 1.0))
-        sweep_a.add(2, repetitions_at(300.0, 0.5))
-        sweep_b.add(2, repetitions_at(800.0, 0.5))
+        sweep_a = {1.0: repetitions_at(1000.0, 1.0), 2.0: repetitions_at(300.0, 0.5)}
+        sweep_b = {1.0: repetitions_at(500.0, 1.0), 2.0: repetitions_at(800.0, 0.5)}
         comparison = compare_sweeps("A", sweep_a, "B", sweep_b)
         assert comparison.wins("A") == 1
         assert comparison.wins("B") == 1
@@ -207,10 +199,7 @@ class TestComparison:
         assert "single-number comparison would hide this" in comparison.summary()
 
     def test_sweep_comparison_only_common_points(self):
-        sweep_a = SweepResult(parameter_name="size")
-        sweep_b = SweepResult(parameter_name="size")
-        sweep_a.add(1, repetitions_at(1000.0, 1.0))
-        sweep_a.add(2, repetitions_at(900.0, 1.0))
-        sweep_b.add(2, repetitions_at(700.0, 1.0))
+        sweep_a = {1.0: repetitions_at(1000.0, 1.0), 2.0: repetitions_at(900.0, 1.0)}
+        sweep_b = {2.0: repetitions_at(700.0, 1.0)}
         comparison = compare_sweeps("A", sweep_a, "B", sweep_b)
         assert comparison.parameters() == [2.0]

@@ -86,3 +86,11 @@ class TestFastExamplesRun:
         assert "Regime: memory-bound" in output
         assert "Regime: io-bound" in output
         assert "read latency" in output
+
+    def test_macro_personalities_runs_quick(self, capsys):
+        module = load_example("macro_personalities.py")
+        assert module.main(["--quick"]) == 0
+        output = capsys.readouterr().out
+        assert "--- Filebench-like webserver" in output
+        assert "--- Filebench-like varmail" in output
+        assert "--- PostMark" in output

@@ -21,7 +21,6 @@ import repro.cli as cli
 from repro.core.benchmark import NanoBenchmark
 from repro.core.experiment import Experiment, ParameterGrid
 from repro.core.frame import ResultFrame, rows_for_run, run_metrics
-from repro.core.parallel import group_label
 from repro.core.persistence import run_result_to_dict
 from repro.core.runner import BenchmarkConfig, WarmupMode
 from repro.core.suite import NanoBenchmarkSuite
@@ -302,7 +301,7 @@ class TestSuiteEquivalence:
         for benchmark in benchmarks:
             for fs_type in fs_types:
                 assert dicts(suite_result.result_for(benchmark.name, fs_type)) == dicts(
-                    outcome.sets[group_label(benchmark.name, fs_type)]
+                    outcome.result_for(workload=benchmark.name, fs=fs_type)
                 ), (benchmark.name, fs_type, n_workers)
 
     def test_experiment_serial_matches_parallel(self, testbed, benchmarks):
@@ -353,7 +352,7 @@ class TestSuiteEquivalence:
             ParameterGrid.of(workload=benchmarks, fs=("ext2", "xfs")), testbed=testbed
         ).run()
         repetitions = outcome.result_for(workload="stat", fs="xfs")
-        assert dicts(repetitions) == dicts(outcome.sets[group_label("stat", "xfs")])
+        assert dicts(repetitions) == dicts(outcome.sets["stat@xfs"])
         with pytest.raises(KeyError):
             outcome.result_for(workload="stat", fs="ext3")
         with pytest.raises(KeyError):

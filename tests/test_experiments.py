@@ -7,6 +7,9 @@ cost of the full default or paper-scale protocols (the benchmarks do those).
 
 import pytest
 
+from repro.core.experiment import Experiment
+from repro.core.runner import BenchmarkConfig, EnvironmentNoise, WarmupMode
+from repro.core.stats import fragility_index
 from repro.experiments import (
     run_figure1,
     run_figure2,
@@ -16,6 +19,7 @@ from repro.experiments import (
     run_transition_zoom,
 )
 from repro.experiments.config import ExperimentScale, default_scale, paper_scale, quick_scale
+from repro.experiments.figure1 import measure_file_sizes
 from repro.storage.config import scaled_testbed
 
 MiB = 1024 * 1024
@@ -39,6 +43,20 @@ def tiny_scale(**overrides) -> ExperimentScale:
     )
     values.update(overrides)
     return ExperimentScale(**values)
+
+
+@pytest.fixture
+def experiment_runs(monkeypatch):
+    """Every ExperimentResult produced while the test runs, in order."""
+    outcomes = []
+    real_run = Experiment.run
+
+    def run(self, *args, **kwargs):
+        outcomes.append(real_run(self, *args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(Experiment, "run", run)
+    return outcomes
 
 
 class TestScales:
@@ -74,7 +92,7 @@ class TestFigure1Harness:
         # Sizes below the cache run at memory speed; sizes above crawl.
         assert means[8] > 5 * means[48]
         assert result.transition is not None
-        assert result.sweep.fragility() > 0.5
+        assert fragility_index([(size, mean) for size, mean, _ in rows]) > 0.5
         assert "Figure 1" in result.render()
 
     def test_figure1_io_bound_variance_exceeds_memory_bound(self):
@@ -84,6 +102,32 @@ class TestFigure1Harness:
         memory_rsd = rows[0][2]
         io_rsd = max(rsd for size, _, rsd in rows if size >= 32)
         assert io_rsd >= memory_rsd
+
+
+class TestMeasureFileSizes:
+    CONFIG = BenchmarkConfig(
+        duration_s=0.0,
+        max_ops=50,
+        repetitions=2,
+        warmup_mode=WarmupMode.NONE,
+        noise=EnvironmentNoise(enabled=False),
+    )
+
+    def test_sizes_sharing_a_spec_name_are_two_cells_and_a_repeat_runs_once(
+        self, experiment_runs
+    ):
+        sizes = [8 * MiB, 8.5 * MiB, 8 * MiB]
+        sweep = measure_file_sizes("ext2", sizes, self.CONFIG, scaled_testbed(1.0 / 16.0), "sizes")
+        (outcome,) = experiment_runs
+        assert [cell.spec.name for cell in outcome.cells] == ["random-read-8m"] * 2
+        assert [cell.spec.fileset.size_distribution.mean() for cell in outcome.cells] == [
+            8 * MiB,
+            8.5 * MiB,
+        ]
+        assert list(sweep) == [8 * MiB, 8.5 * MiB]
+        assert sweep[8 * MiB] is outcome.sets[outcome.cells[0].label]
+        assert sweep[8.5 * MiB] is outcome.sets[outcome.cells[1].label]
+        assert [len(repetitions) for repetitions in sweep.values()] == [2, 2]
 
 
 class TestFigure2Harness:
@@ -151,7 +195,7 @@ class TestFigure4Harness:
 
 
 class TestTransitionZoomHarness:
-    def test_locates_the_cliff_of_a_cache_smaller_than_the_coarse_sweep(self):
+    def test_locates_the_cliff_of_a_cache_smaller_than_the_coarse_sweep(self, experiment_runs):
         # A ~25.6 MiB cache leaves no room for the coarse sizes 32 and 64 MiB
         # below it; the zoom sweeps the sizes that exist.
         testbed = scaled_testbed(1.0 / 16.0)
@@ -160,6 +204,9 @@ class TestTransitionZoomHarness:
             fs_type="ext2", testbed=testbed, scale=tiny_scale(), seed=3
         )
         assert all(result.checks().values()), result.checks()
+        # One experiment for each sweep, one for each bisection step.
+        cells = [len(outcome.cells) for outcome in experiment_runs]
+        assert cells == [3] + [1] * result.extra_measurements + [5]
         region = result.refined_region
         assert region.parameter_low <= cache_bytes * 1.25
         assert region.parameter_high >= cache_bytes * 0.75

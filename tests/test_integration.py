@@ -10,8 +10,9 @@ import pytest
 from repro.analysis.fragility import assess_sweep
 from repro.analysis.regimes import Regime, classify_repetitions
 from repro.analysis.transition import find_transition
-from repro.core.results import SweepResult
+from repro.core.experiment import Experiment, ParameterGrid
 from repro.core.runner import BenchmarkConfig, BenchmarkRunner, EnvironmentNoise, WarmupMode
+from repro.experiments.figure1 import measure_file_sizes
 from repro.fs.stack import build_stack
 from repro.storage.cache import CachePolicy
 from repro.storage.config import scaled_testbed
@@ -44,14 +45,11 @@ class TestFigure1Phenomenon:
 
     @pytest.fixture(scope="class")
     def sweep(self, testbed):
-        sweep = SweepResult(parameter_name="file_size", unit="bytes")
-        for size_mb in (8, 16, 24, 32, 64):
-            runner = BenchmarkRunner("ext2", testbed=testbed, config=protocol())
-            sweep.add(size_mb * MiB, runner.run(random_read_workload(size_mb * MiB)))
-        return sweep
+        sizes = [size_mb * MiB for size_mb in (8, 16, 24, 32, 64)]
+        return measure_file_sizes("ext2", sizes, protocol(), testbed, "figure1")
 
     def test_order_of_magnitude_cliff(self, sweep):
-        means = dict(sweep.mean_throughputs())
+        means = {size: repetitions.throughput_summary().mean for size, repetitions in sweep.items()}
         assert means[8 * MiB] > 10 * means[64 * MiB]
 
     def test_cliff_located_at_cache_size(self, sweep, testbed):
@@ -62,7 +60,10 @@ class TestFigure1Phenomenon:
         assert testbed.page_cache_bytes <= 32 * MiB
 
     def test_io_bound_runs_have_higher_relative_spread(self, sweep):
-        rsd = dict(sweep.relative_stddevs())
+        rsd = {
+            size: repetitions.throughput_summary().relative_stddev_percent
+            for size, repetitions in sweep.items()
+        }
         assert rsd[64 * MiB] >= rsd[8 * MiB]
 
     def test_fragility_report_flags_the_cliff(self, sweep):
@@ -70,8 +71,8 @@ class TestFigure1Phenomenon:
         assert any(w.kind == "performance cliff" for w in report.warnings)
 
     def test_regimes_labelled_correctly(self, sweep):
-        assert classify_repetitions(sweep.repetitions_at(8 * MiB)) is Regime.MEMORY_BOUND
-        assert classify_repetitions(sweep.repetitions_at(64 * MiB)) is Regime.IO_BOUND
+        assert classify_repetitions(sweep[8 * MiB]) is Regime.MEMORY_BOUND
+        assert classify_repetitions(sweep[64 * MiB]) is Regime.IO_BOUND
 
 
 class TestFigure2Phenomenon:
@@ -126,13 +127,20 @@ class TestFigure3Phenomenon:
 class TestMetadataAndJournaling:
     def test_ext2_metadata_throughput_exceeds_ext3(self, testbed):
         """Journaling costs ext3 on create/delete churn."""
-        results = {}
-        for fs_type in ("ext2", "ext3"):
-            config = protocol(duration_s=2.0, repetitions=2, warmup_mode=WarmupMode.NONE,
-                              noise=EnvironmentNoise(enabled=False))
-            runner = BenchmarkRunner(fs_type, testbed=testbed, config=config)
-            repetitions = runner.run(create_delete_workload(file_count=100, directories=5))
-            results[fs_type] = repetitions.throughput_summary().mean
+        config = protocol(duration_s=2.0, repetitions=2, warmup_mode=WarmupMode.NONE,
+                          noise=EnvironmentNoise(enabled=False))
+        outcome = Experiment(
+            ParameterGrid.of(
+                workload=[create_delete_workload(file_count=100, directories=5)],
+                fs=["ext2", "ext3"],
+            ),
+            config=config,
+            testbed=testbed,
+        ).run()
+        results = {
+            fs_type: outcome.result_for(fs=fs_type).throughput_summary().mean
+            for fs_type in ("ext2", "ext3")
+        }
         assert results["ext2"] > results["ext3"]
 
 
@@ -143,20 +151,18 @@ class TestCachePolicyMatters:
         throughputs = {}
         for policy in (CachePolicy.LRU, CachePolicy.ARC):
             config = protocol(repetitions=2, noise=EnvironmentNoise(enabled=False))
-            runner = BenchmarkRunner(
-                "ext2", testbed=testbed.with_cache_policy(policy), config=config
+            sweep = measure_file_sizes(
+                "ext2", [file_size], config, testbed.with_cache_policy(policy), "cache-policy"
             )
-            repetitions = runner.run(random_read_workload(file_size))
-            throughputs[policy] = repetitions.throughput_summary().mean
+            throughputs[policy] = sweep[file_size].throughput_summary().mean
         assert len(set(round(v) for v in throughputs.values())) > 1
 
 
 class TestStatisticalHonesty:
     def test_repetition_spread_is_reported_not_hidden(self, testbed):
-        config = protocol(repetitions=4)
-        runner = BenchmarkRunner("ext2", testbed=testbed, config=config)
-        repetitions = runner.run(random_read_workload(int(testbed.page_cache_bytes * 1.05)))
-        summary = repetitions.throughput_summary()
+        file_size = int(testbed.page_cache_bytes * 1.05)
+        sweep = measure_file_sizes("ext2", [file_size], protocol(repetitions=4), testbed, "spread")
+        summary = sweep[file_size].throughput_summary()
         assert summary.n == 4
         assert summary.ci95_low < summary.mean < summary.ci95_high
         # Near the boundary the spread must be visible in the summary.

@@ -4,8 +4,8 @@ The load-bearing guarantees:
 
 * parallel execution is **bit-identical** to serial execution (same seeds,
   same spreads, same histograms) for any worker count;
-* the refactored suite path reproduces exactly what the old serial
-  ``NanoBenchmark.run`` loop produced;
+* the experiment path reproduces exactly what a plain in-process loop of
+  ``BenchmarkRunner.run_once`` over the repetitions produces;
 * the result cache serves previously measured cells and invalidates on any
   input change (spec, testbed, protocol, seed).
 """
@@ -110,11 +110,12 @@ class TestSerialParallelEquivalence:
         assert serial.keys() == parallel.keys() == {"inmemory@ext2"}
         assert dicts(serial["inmemory@ext2"]) == dicts(parallel["inmemory@ext2"])
 
-    def test_executor_path_matches_legacy_benchmark_run(self, testbed, nano):
-        legacy = nano.run("ext2", testbed=testbed)
+    def test_executor_path_matches_a_serial_run_once_loop(self, testbed, nano):
+        runner = BenchmarkRunner(fs_type="ext2", testbed=testbed, config=nano.config)
+        spec = nano.build_workload()
+        serial = [runner.run_once(spec, i) for i in range(nano.config.repetitions)]
         via_units = nano_experiment(nano, testbed).run().sets["inmemory@ext2"]
-        assert legacy.label == via_units.label
-        assert dicts(legacy) == dicts(via_units)
+        assert dicts(serial) == dicts(via_units)
 
     def test_suite_parallel_matches_suite_serial(self, testbed):
         benchmarks = [
@@ -155,9 +156,8 @@ class TestSerialParallelEquivalence:
         experiment = nano_experiment(bench, testbed, n_workers=2)
         units = experiment.work_units()
         assert units[0].spec is units[1].spec
-        serial = BenchmarkRunner(fs_type="ext2", testbed=testbed, config=bench.config).run(
-            units[0].spec, label="varying@ext2"
-        )
+        runner = BenchmarkRunner(fs_type="ext2", testbed=testbed, config=bench.config)
+        serial = [runner.run_once(units[0].spec, i) for i in range(bench.config.repetitions)]
         via_units = experiment.run().sets["varying@ext2"]
         assert dicts(serial) == dicts(via_units)
 

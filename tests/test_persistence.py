@@ -12,9 +12,9 @@ from repro.core.persistence import (
     run_result_to_dict,
     save_run_result,
 )
-from repro.core.runner import BenchmarkConfig, BenchmarkRunner, EnvironmentNoise, WarmupMode
+from repro.core.runner import BenchmarkConfig, EnvironmentNoise, WarmupMode
+from repro.experiments.figure1 import measure_file_sizes
 from repro.storage.config import scaled_testbed
-from repro.workloads.micro import random_read_workload
 from tests.test_results_and_runner import make_run
 
 MiB = 1024 * 1024
@@ -80,8 +80,10 @@ class TestEndToEndPersistence:
             collect_raw_latencies=True,
             noise=EnvironmentNoise(enabled=False),
         )
-        runner = BenchmarkRunner("ext2", testbed=scaled_testbed(1.0 / 16.0), config=config)
-        measured = runner.run(random_read_workload(2 * MiB))
+        sweep = measure_file_sizes(
+            "ext2", [2 * MiB], config, scaled_testbed(1.0 / 16.0), "persistence"
+        )
+        measured = sweep[2 * MiB]
 
         restored = []
         for run in measured:

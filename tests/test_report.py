@@ -13,7 +13,7 @@ from repro.core.report import (
     sweep_table,
     timeline_table,
 )
-from repro.core.results import RepetitionSet, SweepResult
+from repro.core.results import RepetitionSet
 from repro.core.timeline import IntervalSeries
 from tests.test_results_and_runner import make_run
 
@@ -46,12 +46,12 @@ class TestAsciiPlot:
 
 
 def make_sweep():
-    sweep = SweepResult(parameter_name="file_size", unit="MB")
+    sweep = {}
     for size, throughput in [(64, 9700.0), (448, 1000.0), (1024, 200.0)]:
         repetitions = RepetitionSet(label=str(size))
         for i in range(3):
             repetitions.add(make_run(throughput * (1 + 0.02 * i), repetition=i))
-        sweep.add(size, repetitions)
+        sweep[float(size)] = repetitions
     return sweep
 
 

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.core.experiment import Experiment, ParameterGrid
 from repro.core.histogram import from_latencies
-from repro.core.results import RepetitionSet, RunResult, SweepResult
+from repro.core.results import RepetitionSet, RunResult
 from repro.core.runner import (
     BenchmarkConfig,
     BenchmarkRunner,
@@ -64,37 +65,6 @@ class TestRepetitionSet:
         assert [run.fs_name for run in repetitions] == ["ext2"]
 
 
-class TestSweepResult:
-    def make_sweep(self):
-        sweep = SweepResult(parameter_name="file_size", unit="MB")
-        for size, throughput in [(64, 9700.0), (128, 9650.0), (512, 400.0), (1024, 200.0)]:
-            repetitions = RepetitionSet(label=str(size))
-            for i in range(3):
-                repetitions.add(make_run(throughput * (1.0 + 0.01 * i), repetition=i))
-            sweep.add(size, repetitions)
-        return sweep
-
-    def test_parameters_sorted(self):
-        assert self.make_sweep().parameters() == [64.0, 128.0, 512.0, 1024.0]
-
-    def test_mean_throughputs_and_rsd(self):
-        sweep = self.make_sweep()
-        means = dict(sweep.mean_throughputs())
-        assert means[64.0] > means[1024.0]
-        assert all(rsd >= 0 for _, rsd in sweep.relative_stddevs())
-
-    def test_fragility_and_dynamic_range(self):
-        sweep = self.make_sweep()
-        assert sweep.fragility() > 0.9  # the 128 -> 512 cliff
-        assert sweep.dynamic_range() > 40
-
-    def test_repetitions_at(self):
-        sweep = self.make_sweep()
-        assert len(sweep.repetitions_at(64)) == 3
-        with pytest.raises(KeyError):
-            sweep.repetitions_at(999)
-
-
 class TestBenchmarkConfigValidation:
     def test_defaults_valid(self):
         BenchmarkConfig().validate()
@@ -119,14 +89,19 @@ class TestBenchmarkConfigValidation:
         assert config.repetitions == 3
 
 
+def run_cell(fs_type, spec, testbed, config) -> RepetitionSet:
+    """Every repetition of ``spec`` on ``fs_type``, run as a one-cell experiment."""
+    grid = ParameterGrid.of(workload=[spec], fs=[fs_type])
+    return Experiment(grid, config=config, testbed=testbed).run().result_for(fs=fs_type)
+
+
 class TestBenchmarkRunner:
     @pytest.fixture
     def testbed(self):
         return scaled_testbed(1.0 / 16.0)
 
     def test_run_produces_requested_repetitions(self, testbed, no_noise_config):
-        runner = BenchmarkRunner("ext2", testbed=testbed, config=no_noise_config)
-        repetitions = runner.run(random_read_workload(4 * MiB))
+        repetitions = run_cell("ext2", random_read_workload(4 * MiB), testbed, no_noise_config)
         assert len(repetitions) == no_noise_config.repetitions
         for run in repetitions:
             assert run.operations > 0
@@ -161,8 +136,7 @@ class TestBenchmarkRunner:
             duration_s=0.5, repetitions=3, warmup_mode=WarmupMode.PREWARM,
             noise=EnvironmentNoise(cache_noise_bytes=4 * MiB, cpu_noise_sigma=0.05),
         )
-        runner = BenchmarkRunner("ext2", testbed=testbed, config=config)
-        repetitions = runner.run(random_read_workload(2 * MiB))
+        repetitions = run_cell("ext2", random_read_workload(2 * MiB), testbed, config)
         caches = {run.environment["page_cache_bytes"] for run in repetitions}
         cpu_factors = {run.environment["cpu_speed_factor"] for run in repetitions}
         assert len(caches) > 1
@@ -216,8 +190,8 @@ class TestBenchmarkRunner:
         assert len(run.raw_latencies_ns) == run.operations
 
     def test_metadata_workload_through_runner(self, testbed, no_noise_config):
-        runner = BenchmarkRunner("ext3", testbed=testbed, config=no_noise_config)
-        repetitions = runner.run(create_delete_workload(file_count=50, directories=5))
+        spec = create_delete_workload(file_count=50, directories=5)
+        repetitions = run_cell("ext3", spec, testbed, no_noise_config)
         assert repetitions.throughput_summary().mean > 0
 
     @pytest.mark.parametrize("fs_type", ["ext2", "ext3", "ext4", "xfs"])

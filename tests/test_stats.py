@@ -11,6 +11,7 @@ from repro.core.stats import (
     coefficient_of_variation,
     confidence_interval,
     detect_outliers_iqr,
+    dynamic_range,
     fragility_index,
     overlapping_confidence_intervals,
     percentile,
@@ -134,6 +135,8 @@ class TestFragilityIndex:
     def test_cliff_has_high_fragility(self):
         points = [(1, 9700.0), (2, 9600.0), (3, 1000.0), (4, 300.0)]
         assert fragility_index(points) > 0.85
+        # The dynamic range ignores values that are not positive.
+        assert dynamic_range([m for _, m in points] + [0.0, -5.0]) == 9700.0 / 300.0
 
     def test_unordered_input_is_sorted_first(self):
         points = [(3, 1000.0), (1, 9700.0), (2, 9600.0)]
@@ -142,6 +145,8 @@ class TestFragilityIndex:
     def test_degenerate_inputs(self):
         assert fragility_index([]) == 0.0
         assert fragility_index([(1, 5.0)]) == 0.0
+        assert dynamic_range([]) == 1.0
+        assert dynamic_range([0.0, 5.0]) == 1.0
 
 
 class TestRequiredRepetitions:

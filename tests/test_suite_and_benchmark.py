@@ -43,12 +43,6 @@ class TestNanoBenchmark:
         empty = NanoBenchmark("x", "d", lambda: random_read_workload(MiB))
         assert empty.primary_dimension() is None
 
-    def test_run_returns_repetitions(self):
-        benchmark = self.make_benchmark()
-        result = benchmark.run("ext2", testbed=scaled_testbed(1.0 / 16.0))
-        assert len(result) == 2
-        assert result.throughput_summary().mean > 0
-
     def test_describe_mentions_dimensions(self):
         assert "caching" in self.make_benchmark().describe()
 
