@@ -14,7 +14,7 @@ from typing import Dict
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.core.results import RepetitionSet
+from repro.core.results import RepetitionSet, mean_throughputs
 from repro.core.runner import BenchmarkConfig, EnvironmentNoise, WarmupMode
 from repro.core.stats import fragility_index
 from repro.experiments.figure1 import measure_file_sizes
@@ -42,17 +42,16 @@ def sweep_with_policy(policy: CachePolicy) -> Dict[float, RepetitionSet]:
         [size_mb * MiB for size_mb in SIZES_MB],
         config,
         TESTBED.with_cache_policy(policy),
-        f"ablation-cache-{policy.value}",
     )
 
 
 @pytest.mark.parametrize("policy", [CachePolicy.LRU, CachePolicy.CLOCK, CachePolicy.ARC])
 def test_bench_ablation_cache_policy(benchmark, policy):
     sweep = run_once(benchmark, sweep_with_policy, policy)
-    mean_by_size = {size: sweep[size].throughput_summary().mean for size in sorted(sweep)}
-    means = {int(size // MiB): round(mean) for size, mean in mean_by_size.items()}
+    points = mean_throughputs(sweep)
+    means = {int(size // MiB): round(mean) for size, mean in points}
     benchmark.extra_info["policy"] = policy.value
     benchmark.extra_info["mean_ops_by_size_mb"] = str(means)
-    benchmark.extra_info["fragility"] = round(fragility_index(list(mean_by_size.items())), 2)
+    benchmark.extra_info["fragility"] = round(fragility_index(points), 2)
     # The cliff must exist under every policy; its exact shape is the ablation.
     assert means[SIZES_MB[0]] > 5 * means[SIZES_MB[-1]]

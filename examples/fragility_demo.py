@@ -21,6 +21,7 @@ import argparse
 from repro.analysis.fragility import assess_sweep
 from repro.analysis.regimes import regime_ranges
 from repro.core.report import ascii_plot, sweep_table
+from repro.core.results import mean_throughputs
 from repro.experiments import run_transition_zoom
 from repro.experiments.config import default_scale, quick_scale
 from repro.fs.stack import DEFAULT_FS_TYPES
@@ -43,7 +44,7 @@ def main(argv=None) -> int:
 
     # The whole graph: the coarse sweep plus the fine sweep across the cliff.
     sweep = {**result.coarse_sweep, **result.fine_sweep}
-    means = [(size, sweep[size].throughput_summary().mean) for size in sorted(sweep)]
+    means = mean_throughputs(sweep)
 
     print(f"Cache-cliff sweep of {args.fs} random-read throughput vs working-set size")
     print(f"Page cache: {testbed.page_cache_bytes // MiB} MiB\n")

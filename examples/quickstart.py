@@ -45,7 +45,7 @@ def main(argv=None) -> int:
         warmup_mode=WarmupMode.PREWARM,
         interval_s=1.0,
     )
-    sweep = measure_file_sizes(args.fs, [small_file, large_file], config, testbed, "quickstart")
+    sweep = measure_file_sizes(args.fs, [small_file, large_file], config, testbed)
 
     report = ReportBuilder(title=f"Quickstart: {args.fs} on {testbed.describe()}")
     for label, size in (("fits in cache", small_file), ("twice the cache", large_file)):

@@ -19,7 +19,7 @@ from typing import List, Mapping, Optional
 
 from repro.analysis.regimes import classify_run
 from repro.analysis.transition import find_transition
-from repro.core.results import RepetitionSet
+from repro.core.results import RepetitionSet, mean_throughputs
 from repro.core.stats import dynamic_range
 
 
@@ -205,7 +205,7 @@ def assess_sweep(sweep: Mapping[float, RepetitionSet]) -> FragilityReport:
             )
         )
 
-    spread = dynamic_range([reps.throughput_summary().mean for reps in sweep.values()])
+    spread = dynamic_range([mean for _, mean in mean_throughputs(sweep)])
     if spread >= 10.0:
         report.add(
             FragilityWarning(

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple
 
-from repro.core.results import RepetitionSet
+from repro.core.results import RepetitionSet, mean_throughputs
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def find_transition(
     """
     if min_drop_factor <= 1.0:
         raise ValueError("min_drop_factor must exceed 1")
-    means = [(parameter, sweep[parameter].throughput_summary().mean) for parameter in sorted(sweep)]
+    means = mean_throughputs(sweep)
     if len(means) < 2:
         return None
     best: Optional[TransitionRegion] = None

@@ -10,8 +10,9 @@ twice:
 * :class:`ParallelExecutor` fans repetitions out over a process pool.  The
   determinism guarantee is strict: a parallel run produces results
   **bit-identical** to a serial run of the same work units, because workers
-  receive the exact seeds the serial loop would have used and no state is
-  shared between repetitions.  ``n_workers=1`` (the default) runs in-process
+  receive the exact seeds an in-process loop of
+  ``BenchmarkRunner.run_once(spec, i)`` over the repetitions would use and no
+  state is shared between repetitions.  ``n_workers=1`` (the default) runs in-process
   with no pool at all, so the serial path stays the trivially obvious one.
 
 * :class:`ResultCache` persists finished repetitions keyed by

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.core.histogram import LatencyHistogram
-from repro.core.results import RepetitionSet
+from repro.core.results import RepetitionSet, mean_throughputs
 from repro.core.stats import dynamic_range, fragility_index, overlapping_confidence_intervals
 from repro.core.timeline import IntervalSeries
 
@@ -78,10 +78,10 @@ def ascii_plot(
 
 def sweep_table(sweep: Mapping[float, RepetitionSet]) -> str:
     """A Figure-1-style table: file size in bytes, mean, stddev, relative stddev, CI."""
-    summaries = [(size, sweep[size].throughput_summary()) for size in sorted(sweep)]
-    means = [(size, summary.mean) for size, summary in summaries]
+    means = mean_throughputs(sweep)
     rows = []
-    for size, summary in summaries:
+    for size in sorted(sweep):
+        summary = sweep[size].throughput_summary()
         rows.append(
             [
                 f"{size:.0f}",

@@ -14,7 +14,7 @@ the problem.  Reporting code decides later how much of that to show.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.histogram import LatencyHistogram
 from repro.core.stats import SummaryStatistics, summarize
@@ -171,3 +171,8 @@ class RepetitionSet:
     def first(self) -> RunResult:
         """The first repetition (raises ``IndexError`` when empty)."""
         return self.runs[0]
+
+
+def mean_throughputs(sweep: Mapping[float, RepetitionSet]) -> List[Tuple[float, float]]:
+    """A sweep's ``(parameter, mean throughput)`` points in parameter order."""
+    return [(parameter, sweep[parameter].throughput_summary().mean) for parameter in sorted(sweep)]

@@ -41,7 +41,6 @@ def measure_file_sizes(
     sizes_bytes: Sequence[float],
     config: BenchmarkConfig,
     testbed: TestbedConfig,
-    name: str,
 ) -> Dict[float, RepetitionSet]:
     """Random-read every file size as one :class:`~repro.core.experiment.Experiment`.
 
@@ -54,7 +53,6 @@ def measure_file_sizes(
         grid=ParameterGrid.of(
             workload=[random_read_workload(int(size)) for size in sizes], fs=[fs_type]
         ),
-        name=name,
         config=config,
         testbed=testbed,
     ).run()
@@ -179,9 +177,7 @@ def run_figure1(
         interval_s=max(1.0, scale.figure1_duration_s / 5.0),
         seed=seed,
     )
-    sweep = measure_file_sizes(
-        fs_type, [size_mb * MiB for size_mb in sizes], config, testbed, "figure1"
-    )
+    sweep = measure_file_sizes(fs_type, [size_mb * MiB for size_mb in sizes], config, testbed)
     return Figure1Result(
         fs_type=fs_type,
         sweep=sweep,

@@ -121,9 +121,7 @@ def run_figure3(
         cold_cache=True,
         seed=seed,
     )
-    sweep = measure_file_sizes(
-        fs_type, [size_mb * MiB for size_mb in sizes], config, testbed, "figure3"
-    )
+    sweep = measure_file_sizes(fs_type, [size_mb * MiB for size_mb in sizes], config, testbed)
     result = Figure3Result(scale_name=scale.name)
     for size_mb in sizes:
         run = sweep[size_mb * MiB].first()

@@ -143,7 +143,7 @@ def run_figure4(
         seed=seed,
         noise=EnvironmentNoise(enabled=False),
     )
-    sweep = measure_file_sizes(fs_type, [file_size], config, testbed, "figure4")
+    sweep = measure_file_sizes(fs_type, [file_size], config, testbed)
     return Figure4Result(
         fs_type=fs_type,
         file_size_bytes=file_size,

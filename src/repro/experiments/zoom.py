@@ -113,7 +113,7 @@ def run_transition_zoom(
     )
 
     def measure(sizes_bytes: Sequence[float]) -> Dict[float, RepetitionSet]:
-        return measure_file_sizes(fs_type, sizes_bytes, config, testbed, "transition-zoom")
+        return measure_file_sizes(fs_type, sizes_bytes, config, testbed)
 
     # Coarse sweep bracketing the expected cliff (cache capacity +/- 64 MB);
     # a cache of 64 MB or less has no room for the sizes below it.

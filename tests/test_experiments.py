@@ -117,7 +117,7 @@ class TestMeasureFileSizes:
         self, experiment_runs
     ):
         sizes = [8 * MiB, 8.5 * MiB, 8 * MiB]
-        sweep = measure_file_sizes("ext2", sizes, self.CONFIG, scaled_testbed(1.0 / 16.0), "sizes")
+        sweep = measure_file_sizes("ext2", sizes, self.CONFIG, scaled_testbed(1.0 / 16.0))
         (outcome,) = experiment_runs
         assert [cell.spec.name for cell in outcome.cells] == ["random-read-8m"] * 2
         assert [cell.spec.fileset.size_distribution.mean() for cell in outcome.cells] == [

@@ -46,7 +46,7 @@ class TestFigure1Phenomenon:
     @pytest.fixture(scope="class")
     def sweep(self, testbed):
         sizes = [size_mb * MiB for size_mb in (8, 16, 24, 32, 64)]
-        return measure_file_sizes("ext2", sizes, protocol(), testbed, "figure1")
+        return measure_file_sizes("ext2", sizes, protocol(), testbed)
 
     def test_order_of_magnitude_cliff(self, sweep):
         means = {size: repetitions.throughput_summary().mean for size, repetitions in sweep.items()}
@@ -152,7 +152,7 @@ class TestCachePolicyMatters:
         for policy in (CachePolicy.LRU, CachePolicy.ARC):
             config = protocol(repetitions=2, noise=EnvironmentNoise(enabled=False))
             sweep = measure_file_sizes(
-                "ext2", [file_size], config, testbed.with_cache_policy(policy), "cache-policy"
+                "ext2", [file_size], config, testbed.with_cache_policy(policy)
             )
             throughputs[policy] = sweep[file_size].throughput_summary().mean
         assert len(set(round(v) for v in throughputs.values())) > 1
@@ -161,7 +161,7 @@ class TestCachePolicyMatters:
 class TestStatisticalHonesty:
     def test_repetition_spread_is_reported_not_hidden(self, testbed):
         file_size = int(testbed.page_cache_bytes * 1.05)
-        sweep = measure_file_sizes("ext2", [file_size], protocol(repetitions=4), testbed, "spread")
+        sweep = measure_file_sizes("ext2", [file_size], protocol(repetitions=4), testbed)
         summary = sweep[file_size].throughput_summary()
         assert summary.n == 4
         assert summary.ci95_low < summary.mean < summary.ci95_high

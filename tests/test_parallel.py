@@ -143,9 +143,10 @@ class TestSerialParallelEquivalence:
                 ), (name, fs_name)
 
     def test_nondeterministic_factory_keeps_one_spec_per_cell(self, testbed):
-        # The serial loop builds one spec per (benchmark, fs) cell and reuses
-        # it for every repetition; the unit expansion must do the same, or a
-        # factory with construction-time randomness would break bit-identity.
+        # The serial reference, an in-process loop of run_once(spec, i) over
+        # the repetitions, reuses one spec per (benchmark, fs) cell; the unit
+        # expansion must do the same, or a factory with construction-time
+        # randomness would break bit-identity.
         sizes = iter([2 * MiB, 3 * MiB, 5 * MiB])
         bench = NanoBenchmark(
             name="varying",

@@ -80,9 +80,7 @@ class TestEndToEndPersistence:
             collect_raw_latencies=True,
             noise=EnvironmentNoise(enabled=False),
         )
-        sweep = measure_file_sizes(
-            "ext2", [2 * MiB], config, scaled_testbed(1.0 / 16.0), "persistence"
-        )
+        sweep = measure_file_sizes("ext2", [2 * MiB], config, scaled_testbed(1.0 / 16.0))
         measured = sweep[2 * MiB]
 
         restored = []
