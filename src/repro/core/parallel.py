@@ -31,9 +31,11 @@ survey has few (benchmark x file system) cells but many repetitions.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
+import operator
 import os
 import tempfile
 from dataclasses import dataclass, replace
@@ -65,6 +67,27 @@ CACHE_FORMAT_VERSION = 2
 #: :func:`_canonical`.
 _PLAIN = frozenset({str, int, float, bool, type(None)})
 
+#: The encoder of key payloads.  With sorted keys and no whitespace, a value
+#: encodes to the same text on its own as nested anywhere in a payload, so a
+#: key can be joined from the texts of its members.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+@functools.cache
+def _field_names(cls: type) -> Optional[Tuple[str, ...]]:
+    """Field names of a dataclass ``cls`` in declaration order, else ``None``.
+
+    Looked up once per class, since a class's fields cannot change.  Asked
+    per value, ``dataclasses.is_dataclass`` is slow on an enum member: its
+    class raises and catches ``AttributeError`` for the unknown attribute.
+    ``ClassVar`` and ``InitVar`` pseudo-fields are left out, as
+    ``dataclasses.fields`` leaves them out.  The table keeps each class it
+    was asked about alive and hands out immutable tuples.
+    """
+    if dataclasses.is_dataclass(cls):
+        return tuple(field.name for field in dataclasses.fields(cls))
+    return None
+
 
 def _canonical(value):
     """Reduce a config object to a JSON-stable structure for hashing.
@@ -75,15 +98,19 @@ def _canonical(value):
     anything that can change a measurement must surface here; unknown objects
     fall back to ``repr`` rather than being silently dropped.  An exact plain
     value, and a plain item of a list, tuple or dataclass, is its own form
-    and costs no recursive call.
+    and costs no recursive call.  Whether a class is a dataclass, and its
+    field names, come from a per-class table (:func:`_field_names`), so a
+    value pays one lookup for them.
     """
-    if type(value) in _PLAIN:
+    cls = type(value)
+    if cls in _PLAIN:
         return value
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {"__kind__": type(value).__name__}
-        for field in dataclasses.fields(value):
-            item = getattr(value, field.name)
-            fields[field.name] = item if type(item) in _PLAIN else _canonical(item)
+    names = _field_names(cls)
+    if names is not None:
+        fields = {"__kind__": cls.__name__}
+        for name in names:
+            item = getattr(value, name)
+            fields[name] = item if type(item) in _PLAIN else _canonical(item)
         return fields
     if isinstance(value, Enum):
         return value.value
@@ -104,36 +131,57 @@ def _canonical(value):
         return value
     if hasattr(value, "__dict__"):
         fields = {key: _canonical(item) for key, item in sorted(vars(value).items())}
-        return {"__kind__": type(value).__name__, **fields}
+        return {"__kind__": cls.__name__, **fields}
     return repr(value)
 
 
 class _KeyScan:
-    """The spec and testbed forms that one key scan reuses.
+    """The JSON texts that one key scan reuses.
 
-    A cell's units come one after another and share their spec and testbed
-    objects (:meth:`~repro.core.experiment.ExperimentCell.work_units`), so
-    the scan keeps the spec and the testbed it canonicalised last and reuses
-    a form while the next unit passes that very object.  Identity, not
-    equality: ``1 == 1.0``, yet they encode differently, and lint rule
-    DET004 bans ``id()``.  Holding the object keeps its identity from
-    passing to a newcomer.
+    A cell's units come one after another
+    (:meth:`~repro.core.experiment.ExperimentCell.work_units`).  They share
+    their spec and testbed objects, and each has its own config, a copy
+    that differs only in ``seed`` and ``repetitions``.  So the scan keeps
+    the text of the spec, the testbed and the normalised config it encoded
+    last, and reuses one while the next unit passes:
+
+    * the very spec or testbed object encoded last;
+    * a normalised config of the same class whose every field value is the
+      very object the last one held.
+
+    Identity, not equality: ``1 == 1.0``, yet they encode differently, and
+    lint rule DET004 bans ``id()``.  Holding the objects keeps their
+    identities from passing to newcomers.
     """
 
     def __init__(self) -> None:
-        self._spec: Optional[Tuple[WorkloadSpec, object]] = None
-        self._testbed: Optional[Tuple[Optional[TestbedConfig], object]] = None
+        self._spec: Optional[Tuple[WorkloadSpec, str]] = None
+        self._testbed: Optional[Tuple[Optional[TestbedConfig], str]] = None
+        self._config: Optional[Tuple[List[object], str]] = None
 
-    def forms(
+    def texts(
         self, spec: WorkloadSpec, testbed: Optional[TestbedConfig]
-    ) -> Tuple[object, object]:
-        """Canonical ``(spec, testbed)``; ``testbed=None`` is the paper's."""
+    ) -> Tuple[str, str]:
+        """JSON texts of ``(spec, testbed)``; ``testbed=None`` is the paper's."""
         if self._spec is None or self._spec[0] is not spec:
-            self._spec = (spec, _canonical(spec))
+            self._spec = (spec, _ENCODER.encode(_canonical(spec)))
         if self._testbed is None or self._testbed[0] is not testbed:
             resolved = testbed if testbed is not None else paper_testbed()
-            self._testbed = (testbed, _canonical(resolved))
+            self._testbed = (testbed, _ENCODER.encode(_canonical(resolved)))
         return self._spec[1], self._testbed[1]
+
+    def config_text(
+        self, normalised: BenchmarkConfig, encode: Callable[[], str]
+    ) -> str:
+        """The last config's text if ``normalised`` holds its very field
+        values, else ``encode()``, which is then kept."""
+        cls = type(normalised)
+        values: List[object] = [cls]
+        values += [getattr(normalised, name) for name in _field_names(cls) or ()]
+        kept = self._config
+        if kept is None or not all(map(operator.is_, values, kept[0])):
+            kept = self._config = (values, encode())
+        return kept[1]
 
 
 def cache_key(
@@ -174,32 +222,47 @@ def cache_key(
     with it on or off -- see :mod:`repro.obs`), so a traced run and an
     untraced run are the *same* measurement and must share a cache entry.
 
-    A key costs one canonicalisation each of the spec, the testbed and the
-    config, one JSON encoding and one SHA-256.  ``scan`` is the reuse state
-    of a :meth:`ParallelExecutor.run_units` key scan: with it the spec and
-    testbed forms of the previous key are reused when this call passes the
-    very same objects (see :class:`_KeyScan`).  The key is the same either
-    way.
+    The key is the SHA-256 of one JSON document, written with sorted keys
+    and no whitespace: ``cache_format``, ``clients`` (only when > 1),
+    ``config``, ``fs_type``, ``seed``, ``snapshot`` (only when given),
+    ``spec`` and ``testbed``.  Each member's value is encoded on its own and
+    the texts are joined in that order; a value encodes the same on its own
+    as nested, so these are the bytes one ``json.dumps`` of the whole
+    payload gives.  Alone, a key costs one canonicalisation and one encoding
+    each of the spec, the testbed and the normalised config.  ``scan`` is
+    the reuse state of a :meth:`ParallelExecutor.run_units` key scan: with
+    it, a key reuses the texts of the previous key for the very same spec
+    and testbed objects, and for a normalised config holding the very same
+    field values (see :class:`_KeyScan`), so it costs one ``replace``, a
+    field-identity check, a text join and a SHA-256.  The key is the same
+    either way.
     """
-    spec_payload, testbed_payload = (scan or _KeyScan()).forms(spec, testbed)
-    config_payload = _canonical(replace(config, seed=0, repetitions=1))
+    scan = scan or _KeyScan()
+    normalised = replace(config, seed=0, repetitions=1)
+
+    def encode_config() -> str:
+        payload = _canonical(normalised)
+        if isinstance(payload, dict):
+            payload.pop("clients", None)
+            payload.pop("trace", None)
+        return _ENCODER.encode(payload)
+
+    spec_text, testbed_text = scan.texts(spec, testbed)
     clients = int(getattr(config, "clients", 1) or 1)
-    if isinstance(config_payload, dict):
-        config_payload.pop("clients", None)
-        config_payload.pop("trace", None)
-    payload = {
-        "cache_format": CACHE_FORMAT_VERSION,
-        "fs_type": fs_type,
-        "spec": spec_payload,
-        "testbed": testbed_payload,
-        "config": config_payload,
-        "seed": int(seed),
+    # JSON writes an exact int as ``str`` does.
+    members = {
+        "cache_format": str(CACHE_FORMAT_VERSION),
+        "config": scan.config_text(normalised, encode_config),
+        "fs_type": _ENCODER.encode(fs_type),
+        "seed": str(int(seed)),
+        "spec": spec_text,
+        "testbed": testbed_text,
     }
     if snapshot_fingerprint is not None:
-        payload["snapshot"] = str(snapshot_fingerprint)
+        members["snapshot"] = _ENCODER.encode(str(snapshot_fingerprint))
     if clients > 1:
-        payload["clients"] = clients
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        members["clients"] = str(clients)
+    encoded = "{" + ",".join(f'"{name}":{members[name]}' for name in sorted(members)) + "}"
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
@@ -409,7 +472,12 @@ class ResultCache:
         except FileNotFoundError:
             self.stats.misses += 1
             return None, "miss"
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
+        except (
+            OSError, ValueError, KeyError, json.JSONDecodeError, TypeError, AttributeError
+        ):
+            # TypeError and AttributeError come from JSON that parses but
+            # is no run document: not an object, or a null section such as
+            # ``histogram``, ``timeline`` or ``environment``.
             self._quarantine(path)
             self.stats.misses += 1
             return None, "miss"
@@ -567,10 +635,10 @@ class ParallelExecutor:
         exception unchanged.
 
         The key scan computes one key per unit (with a cache or a sink
-        attached), in unit order.  Consecutive units that share a spec or
-        testbed object canonicalise it once (see :class:`_KeyScan`); the
-        reuse state lives for this call only, so a spec mutated between
-        calls is canonicalised afresh.
+        attached), in unit order.  Consecutive units of a cell encode their
+        spec, testbed and config once (see :class:`_KeyScan`); the reuse
+        state lives for this call only, so a spec or config mutated between
+        calls is encoded afresh.
         """
         units = list(units)
         results: List[Optional[RunResult]] = [None] * len(units)

@@ -20,7 +20,8 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import InitVar, dataclass, replace
+from typing import ClassVar
 
 from repro.core.experiment import Experiment
 from repro.core.parallel import WorkUnit, _canonical, cache_key
@@ -157,6 +158,28 @@ class TestVariantKeys:
         assert _key(config=replace(CONFIG, trace=True)) == GOLDEN_VARIANT_KEYS["base"]
 
 
+@dataclass
+class _Scaled:
+    """A dataclass with pseudo-fields, which are not part of its form."""
+
+    unit: ClassVar[int] = 4096
+    blocks: int = 1
+    scale: InitVar[int] = 2
+
+    def __post_init__(self, scale: int) -> None:
+        self.blocks *= scale
+
+
+@dataclass
+class _Shape:
+    depth: int = 1
+
+
+@dataclass
+class _WideShape(_Shape):
+    width: int = 2
+
+
 class TestCanonicalForm:
     def test_plain_object_size_distribution(self):
         assert _canonical(LogNormalSizes(16384, sigma=1.5)) == {
@@ -181,6 +204,14 @@ class TestCanonicalForm:
     def test_string_valued_enum(self):
         canonical = _canonical(WarmupMode.NONE)
         assert canonical == "none" and type(canonical) is str
+
+    def test_classvar_and_initvar_are_not_fields(self):
+        assert _canonical(_Scaled(blocks=3)) == {"__kind__": "_Scaled", "blocks": 6}
+
+    def test_subclass_that_adds_a_field_has_its_own_fields(self):
+        assert _canonical(_Shape()) == {"__kind__": "_Shape", "depth": 1}
+        assert _canonical(_WideShape()) == {"__kind__": "_WideShape", "depth": 1, "width": 2}
+        assert _canonical(_Shape(depth=3)) == {"__kind__": "_Shape", "depth": 3}
 
 
 # The script a fresh interpreter runs: the matrix digest, then the payload

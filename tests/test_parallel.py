@@ -12,8 +12,12 @@ The load-bearing guarantees:
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import os
 import pickle
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,7 @@ from repro.core.runner import (
 )
 from repro.core.suite import NanoBenchmarkSuite
 from repro.core.survey import MeasuredSurvey
+from repro.lint.config import load_config
 from repro.storage.config import scaled_testbed
 from repro.workloads.micro import random_read_workload, stat_workload
 
@@ -229,13 +234,19 @@ class TestCacheKey:
         # Same content, different insertion order: identical canonical form.
         assert _canonical({"b": 1, "a": 2}) == _canonical({"a": 2, "b": 1})
 
-    # A run_units key scan reuses the canonical spec and testbed of the
-    # previous unit when it passes the very same object.  These cases would
-    # break a reuse that outlived the scan, matched by equality, or matched
-    # without checking the object at all.
+    # A run_units key scan reuses the JSON text of the previous unit's spec
+    # and testbed when it passes the very same object, and of its config when
+    # every field holds the very same value.  These cases would break a reuse
+    # that outlived the scan, matched by equality, matched without checking
+    # the object at all, or carried a member of the previous key over.
     @staticmethod
     def fresh_keys(units):
-        return [cache_key(u.fs_type, u.spec, u.config, u.seed, u.testbed) for u in units]
+        return [
+            cache_key(
+                u.fs_type, u.spec, u.config, u.seed, u.testbed, u.snapshot_fingerprint
+            )
+            for u in units
+        ]
 
     def test_scan_keys_of_interleaved_cells_are_fresh_keys(self, testbed, nano, scan_keys):
         cell_a = nano_units(nano, testbed)
@@ -254,6 +265,42 @@ class TestCacheKey:
         after = scan_keys(units, executor)
         assert after == self.fresh_keys(units)
         assert set(after).isdisjoint(before)
+
+    def test_config_mutated_between_scans_gets_a_fresh_key(self, testbed, nano, scan_keys):
+        executor = ParallelExecutor()
+        units = nano_units(nano, testbed)
+        before = scan_keys(units, executor)
+        # Every unit's config holds the one noise object; it is frozen, but
+        # whoever holds it can still change it in place.
+        noise = units[0].config.noise
+        object.__setattr__(noise, "cpu_noise_sigma", noise.cpu_noise_sigma + 0.01)
+        after = scan_keys(units, executor)
+        assert after == self.fresh_keys(units)
+        assert set(after).isdisjoint(before)
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("clients", [1, 4, 1]),
+            ("trace", [False, True, False]),
+            ("snapshot_fingerprint", [None, "ab" * 32, None]),
+            ("fs_type", ["ext2", "xfs", "ext2"]),
+            ("seed", [42, 43, 42]),
+        ],
+    )
+    def test_scan_keys_of_units_differing_in_one_input_are_fresh_keys(
+        self, testbed, scan_keys, field, values
+    ):
+        base = WorkUnit("ext2", random_read_workload(MiB), quick_config(), testbed=testbed)
+        if field in ("clients", "trace", "seed"):
+            units = [replace(base, config=replace(base.config, **{field: v})) for v in values]
+        else:
+            units = [replace(base, **{field: value}) for value in values]
+        keys = scan_keys(units)
+        assert keys == self.fresh_keys(units)
+        assert keys[2] == keys[0]
+        # A traced unit shares the untraced key; every other change moves it.
+        assert (keys[1] == keys[0]) == (field == "trace")
 
     @pytest.mark.parametrize("field", ["config", "spec", "testbed"])
     def test_equal_inputs_that_encode_differently_keep_their_keys(
@@ -280,6 +327,84 @@ class TestCacheKey:
         from repro.core.parallel import CACHE_FORMAT_VERSION
 
         assert CACHE_FORMAT_VERSION >= 2
+
+
+#: Another valid value of each ``BenchmarkConfig`` field than
+#: ``quick_config()`` holds.  A field missing here fails the classification
+#: tests, so a new field cannot reach (or miss) the key unchecked.
+CHANGED_CONFIG_VALUES = {
+    "duration_s": 0.75,
+    "max_ops": 100,
+    "repetitions": 5,
+    "warmup_mode": WarmupMode.NONE,
+    "warmup_s": 0.5,
+    "max_warmup_s": 60.0,
+    "interval_s": 0.5,
+    "histogram_interval_s": 0.5,
+    "collect_raw_latencies": True,
+    "cold_cache": False,
+    "seed": 7,
+    "noise": EnvironmentNoise(enabled=False),
+    "clients": 4,
+    "trace": True,
+}
+
+
+class TestKeyClassification:
+    """Which ``BenchmarkConfig`` fields move the key, checked on keys.
+
+    The fields that must are the ``keyed`` bucket of ``[rules.cache-key]``
+    in ``lint.toml``, plus ``clients`` above 1; ``seed``, ``repetitions``
+    and ``trace`` must not.
+    """
+
+    @staticmethod
+    def keyed_fields():
+        buckets = load_config(Path(__file__).resolve().parents[1] / "lint.toml")
+        return set(buckets.cache_key_buckets["keyed"]) | {"clients"}
+
+    @staticmethod
+    def changed_configs():
+        """``(base, {field: base with that field alone changed})``."""
+        names = [field.name for field in dataclasses.fields(BenchmarkConfig)]
+        assert sorted(CHANGED_CONFIG_VALUES) == sorted(names)
+        base = quick_config()
+        changed = {name: replace(base, **{name: CHANGED_CONFIG_VALUES[name]}) for name in names}
+        for name, config in changed.items():
+            config.validate()
+            assert getattr(config, name) != getattr(base, name)
+        return base, changed
+
+    def test_exactly_the_keyed_fields_move_the_key(self, testbed):
+        base, changed = self.changed_configs()
+        spec = random_read_workload(MiB)
+        base_key = cache_key("ext2", spec, base, 42, testbed)
+        moved = {
+            name
+            for name, config in changed.items()
+            if cache_key("ext2", spec, config, 42, testbed) != base_key
+        }
+        assert moved == self.keyed_fields()
+        assert set(changed) - moved == {"seed", "repetitions", "trace"}
+
+    def test_a_scan_moves_the_key_for_exactly_the_keyed_fields(self, testbed, scan_keys):
+        # Each changed unit directly follows the base unit, so a config
+        # reuse that missed a field serves the base unit's config text.
+        base, changed = self.changed_configs()
+        base_unit = WorkUnit("ext2", random_read_workload(MiB), base, testbed=testbed)
+        units = []
+        for config in changed.values():
+            # Same effective seed as the base unit, whatever config.seed is.
+            repetition = base.seed - config.seed
+            units += [base_unit, replace(base_unit, config=config, repetition=repetition)]
+        keys = scan_keys(units)
+        assert keys == TestCacheKey.fresh_keys(units)
+        moved = {
+            name
+            for name, base_key, key in zip(changed, keys[0::2], keys[1::2])
+            if key != base_key
+        }
+        assert moved == self.keyed_fields()
 
 
 class TestResultCache:
@@ -377,6 +502,33 @@ class TestResultCache:
         assert cache.get(key) is None
         assert cache.stats.corrupt == 1
         assert cache.stats.misses == 2
+
+    @pytest.mark.parametrize(
+        "whole, section",
+        [([], None), (42, None), (None, "histogram"), (None, "timeline"), (None, "environment")],
+        ids=["list", "number", "null-histogram", "null-timeline", "null-environment"],
+    )
+    def test_entry_that_parses_but_is_no_run_is_quarantined_and_rerun(
+        self, tmp_path, testbed, nano, whole, section
+    ):
+        unit = nano_units(nano, testbed)[0]
+        cache = ResultCache(str(tmp_path))
+        executor = ParallelExecutor(cache=cache)
+        (fresh,) = executor.run_units([unit])
+        path = cache.path_for(unit.key())
+        with open(path) as handle:
+            document = json.load(handle)
+        if section is None:
+            document = whole
+        else:
+            document["data"][section] = None
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        (rerun,) = executor.run_units([unit])
+        assert (cache.stats.corrupt, cache.stats.misses, cache.stats.stores) == (1, 2, 2)
+        assert os.path.exists(path + ".corrupt")
+        assert run_result_to_dict(rerun) == run_result_to_dict(fresh)
+        assert run_result_to_dict(cache.get(unit.key())) == run_result_to_dict(fresh)
 
     def test_clear_removes_quarantined_entries_too(self, tmp_path):
         import os
