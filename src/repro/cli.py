@@ -433,8 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint_cmd = subparsers.add_parser(
         "lint",
-        help="statically check the determinism contracts (snapshot completeness, "
-        "cache-key hygiene, wall-clock/entropy bans, protocol conformance)",
+        help="statically check the determinism contracts (wall-clock/entropy "
+        "bans, snapshot completeness, one result-payload encoder)",
     )
     lint_cmd.add_argument(
         "--root",
@@ -664,9 +664,11 @@ def _run_lint(args) -> int:
     import repro
     from repro.lint import LintConfigError, run_lint
 
-    root = Path(args.root) if args.root else Path(repro.__file__).parent
+    root = Path(args.root or Path(repro.__file__).parent).resolve()
+    if not root.is_dir():
+        return _usage_error(f"lint --root {args.root} is not a directory")
     project_root = root
-    for ancestor in (root, *root.resolve().parents):
+    for ancestor in (root, *root.parents):
         if (ancestor / "lint.toml").exists() or (ancestor / ".git").exists():
             project_root = ancestor
             break

@@ -38,9 +38,9 @@ import logging
 import operator
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.persistence import load_run_result, save_run_result
 from repro.core.results import RunResult
@@ -71,6 +71,20 @@ _PLAIN = frozenset({str, int, float, bool, type(None)})
 #: encodes to the same text on its own as nested anywhere in a payload, so a
 #: key can be joined from the texts of its members.
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: The ``BenchmarkConfig`` fields that a key does not hold as they are, and
+#: what its config text holds instead; every other field is keyed.
+#: ``seed`` is written as 0 and ``repetitions`` as 1, because a key names
+#: its repetition by the effective seed alone.  ``clients`` and ``trace``
+#: (``None``) are left out: ``clients`` is a top-level member of the key
+#: when above 1, and a traced run is the same measurement as an untraced
+#: one.
+CONFIG_KEY_OVERRIDES: Dict[str, Optional[int]] = {
+    "seed": 0,
+    "repetitions": 1,
+    "clients": None,
+    "trace": None,
+}
 
 
 @functools.cache
@@ -135,6 +149,30 @@ def _canonical(value):
     return repr(value)
 
 
+@functools.cache
+def _keyed_field_names(cls: Type[BenchmarkConfig]) -> Tuple[str, ...]:
+    """Fields of config dataclass ``cls`` that its key text holds as they
+    are: all but those of :data:`CONFIG_KEY_OVERRIDES`, looked up once per
+    class.  Raises ``TypeError`` for a class that is not a dataclass."""
+    return tuple(
+        field.name
+        for field in dataclasses.fields(cls)
+        if field.name not in CONFIG_KEY_OVERRIDES
+    )
+
+
+def _config_text(config: BenchmarkConfig) -> str:
+    """JSON text of ``config`` in a key: its canonical form with
+    :data:`CONFIG_KEY_OVERRIDES` applied."""
+    payload = _canonical(config)
+    for name, value in CONFIG_KEY_OVERRIDES.items():
+        if value is None:
+            payload.pop(name, None)
+        else:
+            payload[name] = value
+    return _ENCODER.encode(payload)
+
+
 class _KeyScan:
     """The JSON texts that one key scan reuses.
 
@@ -142,12 +180,13 @@ class _KeyScan:
     (:meth:`~repro.core.experiment.ExperimentCell.work_units`).  They share
     their spec and testbed objects, and each has its own config, a copy
     that differs only in ``seed`` and ``repetitions``.  So the scan keeps
-    the text of the spec, the testbed and the normalised config it encoded
-    last, and reuses one while the next unit passes:
+    the text of the spec, the testbed and the config it encoded last, and
+    reuses one while the next unit passes:
 
     * the very spec or testbed object encoded last;
-    * a normalised config of the same class whose every field value is the
-      very object the last one held.
+    * a config of the same class whose every keyed field value (every
+      field not in :data:`CONFIG_KEY_OVERRIDES`) is the very object the
+      last one held.  The other fields do not reach the config text.
 
     Identity, not equality: ``1 == 1.0``, yet they encode differently, and
     lint rule DET004 bans ``id()``.  Holding the objects keeps their
@@ -170,17 +209,15 @@ class _KeyScan:
             self._testbed = (testbed, _ENCODER.encode(_canonical(resolved)))
         return self._spec[1], self._testbed[1]
 
-    def config_text(
-        self, normalised: BenchmarkConfig, encode: Callable[[], str]
-    ) -> str:
-        """The last config's text if ``normalised`` holds its very field
-        values, else ``encode()``, which is then kept."""
-        cls = type(normalised)
+    def config_text(self, config: BenchmarkConfig) -> str:
+        """The last config's text if ``config`` holds its very keyed field
+        values, else ``config``'s own text, which is then kept."""
+        cls = type(config)
         values: List[object] = [cls]
-        values += [getattr(normalised, name) for name in _field_names(cls) or ()]
+        values += [getattr(config, name) for name in _keyed_field_names(cls)]
         kept = self._config
         if kept is None or not all(map(operator.is_, values, kept[0])):
-            kept = self._config = (values, encode())
+            kept = self._config = (values, _config_text(config))
         return kept[1]
 
 
@@ -197,8 +234,10 @@ def cache_key(
 
     The key covers everything the measurement depends on: the file system,
     the full workload spec, the testbed, the protocol parameters and the
-    *effective* seed of the repetition.  ``config.seed`` and
-    ``config.repetitions`` are deliberately normalised out -- the runner uses
+    *effective* seed of the repetition.  :data:`CONFIG_KEY_OVERRIDES` says
+    how each config field is treated; every field it does not name is
+    keyed.  ``config.seed`` and ``config.repetitions`` are deliberately
+    normalised out (written as 0 and 1) -- the runner uses
     ``config.seed + repetition`` for every random source, so repetition 1 of
     a seed-42 run and repetition 0 of a seed-43 run are the same measurement
     and share a cache entry.
@@ -212,12 +251,12 @@ def cache_key(
     older cache entry, fresh and aged alike.)
 
     ``config.clients`` gets the same treatment as the snapshot axis: it is
-    lifted out of the canonical config dictionary and recorded as a
-    top-level ``clients`` entry only when greater than one, so every
-    ``clients=1`` key -- and with it every cache entry ever written --
-    stays byte-identical to the pre-concurrency era.
+    left out of the config text and recorded as a top-level ``clients``
+    entry only when greater than one, so every ``clients=1`` key -- and
+    with it every cache entry ever written -- stays byte-identical to the
+    pre-concurrency era.
 
-    ``config.trace`` is stripped unconditionally and never re-added:
+    ``config.trace`` is left out unconditionally and never re-added:
     tracing is observability, not physics (the measurement is bit-identical
     with it on or off -- see :mod:`repro.obs`), so a traced run and an
     untraced run are the *same* measurement and must share a cache entry.
@@ -229,30 +268,20 @@ def cache_key(
     the texts are joined in that order; a value encodes the same on its own
     as nested, so these are the bytes one ``json.dumps`` of the whole
     payload gives.  Alone, a key costs one canonicalisation and one encoding
-    each of the spec, the testbed and the normalised config.  ``scan`` is
-    the reuse state of a :meth:`ParallelExecutor.run_units` key scan: with
-    it, a key reuses the texts of the previous key for the very same spec
-    and testbed objects, and for a normalised config holding the very same
-    field values (see :class:`_KeyScan`), so it costs one ``replace``, a
-    field-identity check, a text join and a SHA-256.  The key is the same
-    either way.
+    each of the spec, the testbed and the config.  ``scan`` is the reuse
+    state of a :meth:`ParallelExecutor.run_units` key scan: with it, a key
+    reuses the texts of the previous key for the very same spec and testbed
+    objects, and for a config holding the very same keyed field values (see
+    :class:`_KeyScan`), so it costs an identity check over the keyed
+    fields, a text join and a SHA-256.  The key is the same either way.
     """
     scan = scan or _KeyScan()
-    normalised = replace(config, seed=0, repetitions=1)
-
-    def encode_config() -> str:
-        payload = _canonical(normalised)
-        if isinstance(payload, dict):
-            payload.pop("clients", None)
-            payload.pop("trace", None)
-        return _ENCODER.encode(payload)
-
     spec_text, testbed_text = scan.texts(spec, testbed)
     clients = int(getattr(config, "clients", 1) or 1)
     # JSON writes an exact int as ``str`` does.
     members = {
         "cache_format": str(CACHE_FORMAT_VERSION),
-        "config": scan.config_text(normalised, encode_config),
+        "config": scan.config_text(config),
         "fs_type": _ENCODER.encode(fs_type),
         "seed": str(int(seed)),
         "spec": spec_text,

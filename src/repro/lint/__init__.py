@@ -11,10 +11,14 @@ test happens to execute:
   sets feeding ordered results, no ``id()``-keyed containers;
 * snapshot completeness (``SNAP001``-``SNAP002``): every mutable attribute
   of a snapshot participant is exported/restored or explicitly ephemeral;
-* cache-key hygiene (``KEY001``): every ``BenchmarkConfig`` field has
-  decided, documented, implemented key semantics;
-* protocol conformance (``PROTO001``-``PROTO003``): stats holders and
-  registry-built models expose the hooks the observability layer wires.
+* one payload encoder (``KEY002``): result documents are serialized only by
+  :mod:`repro.core.persistence`.
+
+Two contracts are checked at runtime instead, by tests that look at keys,
+registries and traced runs rather than source text: which
+``BenchmarkConfig`` fields move a cache key (``tests/test_parallel.py``),
+and that every registered file system and device model has the hooks the
+observability layer wires (``tests/test_obs.py``).
 
 Run it with ``fsbench-rocket lint`` (exit code gates CI); configure and
 justify exemptions in ``lint.toml``.  The analyzer never imports the code it

@@ -17,11 +17,6 @@ Schema::
     [rules.snapshot]
     required = ["Journal", "PageCache", ...]  # classes that must export state
 
-    [rules.cache-key]
-    keyed = [...]       # BenchmarkConfig fields hashed into the cache key
-    normalized = [...]  # fields canonicalised away (seed, repetitions)
-    stripped = [...]    # fields popped from the payload (trace, clients)
-
     [[suppress]]
     rule = "SNAP002"
     path = "src/repro/storage/clock.py"   # fnmatch against the finding path
@@ -78,28 +73,6 @@ DEFAULT_SNAPSHOT_REQUIRED: Tuple[str, ...] = (
     "VirtualClock",
 )
 
-#: Default classification of ``BenchmarkConfig`` fields for the cache-key
-#: hygiene rule.  Every field must appear in exactly one bucket; a field in
-#: none of them (i.e. a newly added field) is a lint error until its key
-#: semantics are decided.
-DEFAULT_CACHE_KEY_BUCKETS: Dict[str, Tuple[str, ...]] = {
-    "keyed": (
-        "duration_s",
-        "max_ops",
-        "warmup_mode",
-        "warmup_s",
-        "max_warmup_s",
-        "interval_s",
-        "histogram_interval_s",
-        "collect_raw_latencies",
-        "cold_cache",
-        "noise",
-    ),
-    "normalized": ("seed", "repetitions"),
-    "stripped": ("clients", "trace"),
-}
-
-
 @dataclass
 class LintConfig:
     """Parsed configuration driving one lint run."""
@@ -108,12 +81,6 @@ class LintConfig:
     suppressions: List[Suppression] = field(default_factory=list)
     determinism_allow: List[str] = field(default_factory=list)
     snapshot_required: Tuple[str, ...] = DEFAULT_SNAPSHOT_REQUIRED
-    cache_key_buckets: Dict[str, Tuple[str, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_CACHE_KEY_BUCKETS)
-    )
-
-    def rule_enabled(self, rule_id: str) -> bool:  # pragma: no cover - hook
-        return True
 
 
 def _string_list(value: object, context: str) -> List[str]:
@@ -122,39 +89,41 @@ def _string_list(value: object, context: str) -> List[str]:
     return list(value)
 
 
+def _table(value: object, context: str) -> Dict[str, object]:
+    if not isinstance(value, dict):
+        raise LintConfigError(f"[{context}] must be a table")
+    return value
+
+
 def load_config(path: Optional[Path]) -> LintConfig:
-    """Load ``lint.toml``; ``None`` (or a missing file) yields the defaults."""
+    """Load ``lint.toml``; ``None`` yields the defaults.
+
+    Raises :class:`LintConfigError` when ``path`` is not a file or the file
+    is malformed.
+    """
     config = LintConfig(path=path)
-    if path is None or not Path(path).exists():
+    if path is None:
         return config
+    if not Path(path).is_file():
+        raise LintConfigError(f"{path}: no such file")
     with open(path, "rb") as handle:
         try:
             document = tomllib.load(handle)
         except tomllib.TOMLDecodeError as error:
             raise LintConfigError(f"{path}: {error}") from error
 
-    rules = document.get("rules", {})
-    if not isinstance(rules, dict):
-        raise LintConfigError("[rules] must be a table")
-    determinism = rules.get("determinism", {})
+    rules = _table(document.get("rules", {}), "rules")
+    determinism = _table(rules.get("determinism", {}), "rules.determinism")
     if determinism:
         config.determinism_allow = _string_list(
             determinism.get("allow", []), "rules.determinism.allow"
         )
-    snapshot = rules.get("snapshot", {})
+    snapshot = _table(rules.get("snapshot", {}), "rules.snapshot")
     if snapshot:
         extra = _string_list(snapshot.get("required", []), "rules.snapshot.required")
         merged = list(DEFAULT_SNAPSHOT_REQUIRED)
         merged.extend(name for name in extra if name not in merged)
         config.snapshot_required = tuple(merged)
-    cache_key = rules.get("cache-key", rules.get("cache_key", {}))
-    if cache_key:
-        buckets: Dict[str, Tuple[str, ...]] = {}
-        for bucket in ("keyed", "normalized", "stripped"):
-            buckets[bucket] = tuple(
-                _string_list(cache_key.get(bucket, []), f"rules.cache-key.{bucket}")
-            )
-        config.cache_key_buckets = buckets
 
     for index, entry in enumerate(document.get("suppress", [])):
         if not isinstance(entry, dict):

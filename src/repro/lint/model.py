@@ -7,8 +7,8 @@ Instead they operate on a :class:`ProjectIndex`: every module parsed once
 into an :class:`ast` tree (with parent back-links, which several rules need
 to ask "what consumes this expression?"), plus a cross-module class index
 that resolves base-class names so rules can reason over inheritance chains
-(``FlashTranslationLayer`` inherits its ``stats`` attribute and tracer hooks
-from ``DeviceModel`` two modules away).
+(an ``__init__`` path or an export/restore pair may live in a base class
+defined in another module).
 
 Inline exemptions use ``# lint: ephemeral`` comments (see
 :mod:`repro.lint.rules_snapshot`); the index records the lines carrying them
@@ -80,18 +80,12 @@ class ModuleInfo:
     path: Path
     rel: str  # project-relative posix path, the form findings report
     tree: ast.Module
-    lines: List[str]
     ephemeral_lines: frozenset
 
     def is_ephemeral(self, lineno: int) -> bool:
         """True when ``lineno`` (or the line above it) carries the
         ``# lint: ephemeral`` annotation."""
         return lineno in self.ephemeral_lines or (lineno - 1) in self.ephemeral_lines
-
-    def source_line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
 
 
 @dataclass
@@ -102,35 +96,7 @@ class ClassInfo:
     module: ModuleInfo
     node: ast.ClassDef
     base_names: Tuple[str, ...]
-    decorator_names: Tuple[str, ...]
     methods: Dict[str, ast.FunctionDef] = field(default_factory=dict)
-    class_attrs: Dict[str, int] = field(default_factory=dict)  # name -> lineno
-
-    @property
-    def is_dataclass(self) -> bool:
-        return "dataclass" in self.decorator_names
-
-    @property
-    def is_frozen_dataclass(self) -> bool:
-        if not self.is_dataclass:
-            return False
-        for decorator in self.node.decorator_list:
-            if isinstance(decorator, ast.Call) and _dotted_tail(decorator.func) == "dataclass":
-                for kw in decorator.keywords:
-                    if kw.arg == "frozen" and isinstance(kw.value, ast.Constant):
-                        return bool(kw.value.value)
-        return False
-
-    def annotated_field_names(self) -> List[str]:
-        """Names of annotated class-body assignments, i.e. dataclass fields."""
-        names: List[str] = []
-        for statement in self.node.body:
-            if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
-                annotation = ast.dump(statement.annotation)
-                if "ClassVar" in annotation:
-                    continue
-                names.append(statement.target.id)
-        return names
 
 
 def _dotted_tail(node: ast.AST) -> str:
@@ -142,16 +108,6 @@ def _dotted_tail(node: ast.AST) -> str:
     if isinstance(node, ast.Call):
         return _dotted_tail(node.func)
     return ""
-
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """Full dotted form of a Name/Attribute chain, or ``None`` if dynamic."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = dotted_name(node.value)
-        return f"{base}.{node.attr}" if base is not None else None
-    return None
 
 
 class ProjectIndex:
@@ -185,13 +141,12 @@ class ProjectIndex:
                 )
                 continue
             _link_parents(tree)
-            lines = source.splitlines()
             ephemeral = frozenset(
-                number for number, text in enumerate(lines, start=1) if EPHEMERAL_MARKER.search(text)
+                number
+                for number, text in enumerate(source.splitlines(), start=1)
+                if EPHEMERAL_MARKER.search(text)
             )
-            module = ModuleInfo(
-                path=path, rel=rel, tree=tree, lines=lines, ephemeral_lines=ephemeral
-            )
+            module = ModuleInfo(path=path, rel=rel, tree=tree, ephemeral_lines=ephemeral)
             self.modules.append(module)
             self._index_classes(module)
 
@@ -206,23 +161,10 @@ class ProjectIndex:
                 base_names=tuple(
                     name for name in (_dotted_tail(base) for base in node.bases) if name
                 ),
-                decorator_names=tuple(
-                    name
-                    for name in (_dotted_tail(decorator) for decorator in node.decorator_list)
-                    if name
-                ),
             )
             for statement in node.body:
                 if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     info.methods[statement.name] = statement  # type: ignore[assignment]
-                elif isinstance(statement, ast.Assign):
-                    for target in statement.targets:
-                        if isinstance(target, ast.Name):
-                            info.class_attrs[target.id] = statement.lineno
-                elif isinstance(statement, ast.AnnAssign) and isinstance(
-                    statement.target, ast.Name
-                ):
-                    info.class_attrs[statement.target.id] = statement.lineno
             self._classes.setdefault(node.name, []).append(info)
 
     # ------------------------------------------------------------- queries
@@ -244,13 +186,6 @@ class ProjectIndex:
         if len(candidates) == 1:
             return candidates[0]
         return None
-
-    def find_module(self, rel_suffix: str) -> Optional[ModuleInfo]:
-        """The module whose project-relative path ends with ``rel_suffix``."""
-        matches = [
-            module for module in self.modules if module.rel.endswith(rel_suffix)
-        ]
-        return matches[0] if len(matches) == 1 else None
 
     def mro(self, info: ClassInfo) -> List[ClassInfo]:
         """``info`` plus every statically-resolvable ancestor, nearest first.
@@ -277,33 +212,3 @@ class ProjectIndex:
             if method in ancestor.methods:
                 return ancestor
         return None
-
-    def mro_defines_attr(self, info: ClassInfo, attr: str) -> Optional[ClassInfo]:
-        """The nearest class in the MRO with ``attr`` as a class-level
-        assignment, a method/property of that name, or a ``self.attr``
-        assignment in ``__init__``."""
-        for ancestor in self.mro(info):
-            if attr in ancestor.class_attrs or attr in ancestor.methods:
-                return ancestor
-            init = ancestor.methods.get("__init__")
-            if init is not None and attr in _self_assigned_names(init):
-                return ancestor
-        return None
-
-
-def _self_assigned_names(func: ast.FunctionDef) -> List[str]:
-    names: List[str] = []
-    for node in ast.walk(func):
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets = [node.target]
-        for target in targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                names.append(target.attr)
-    return names

@@ -31,7 +31,6 @@ from repro.lint.model import Finding, ProjectIndex
 from repro.lint import rules_determinism  # noqa: F401  (registration side effect)
 from repro.lint import rules_snapshot  # noqa: F401
 from repro.lint import rules_cachekey  # noqa: F401
-from repro.lint import rules_protocol  # noqa: F401
 
 
 @dataclass

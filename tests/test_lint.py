@@ -5,8 +5,7 @@ Two halves:
 * synthetic known-bad fixtures, one firing and one non-firing case per rule,
   written to ``tmp_path`` and linted in isolation -- these prove each rule
   actually detects the defect class it claims to (deleting an exported
-  attribute, adding an unclassified ``BenchmarkConfig`` field, introducing
-  ``time.time()``, ...);
+  attribute, a second payload encoder, introducing ``time.time()``, ...);
 * the self-check: ``src/repro`` lints clean at HEAD under the repository's
   own ``lint.toml``, with every suppression used.
 """
@@ -22,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.lint import (
     LintConfig,
     LintConfigError,
@@ -57,6 +57,13 @@ def rules_of(findings):
 
 
 # ------------------------------------------------------- registry contract
+#: Ids of deleted rules.  Ids are append-only, so these are never reused:
+#: KEY001 and PROTO001-003 became runtime tests (tests/test_parallel.py
+#: ``TestKeyClassification``, tests/test_obs.py ``TestRegistryHooks`` and
+#: ``test_every_mutable_stats_dataclass_is_a_metric_source``).
+RETIRED_RULES = {"KEY001", "PROTO001", "PROTO002", "PROTO003"}
+
+
 def test_registry_has_all_documented_rules():
     expected = {
         "DET001",
@@ -65,13 +72,10 @@ def test_registry_has_all_documented_rules():
         "DET004",
         "SNAP001",
         "SNAP002",
-        "KEY001",
         "KEY002",
-        "PROTO001",
-        "PROTO002",
-        "PROTO003",
     }
-    assert expected <= set(RULE_REGISTRY)
+    assert set(RULE_REGISTRY) == expected
+    assert not RETIRED_RULES & set(RULE_REGISTRY)
     for rule_id, rule_cls in RULE_REGISTRY.items():
         assert rule_cls.rule_id == rule_id
         assert rule_cls.contract, f"{rule_id} has no contract statement"
@@ -304,84 +308,6 @@ def test_snap002_silent_when_pair_exists(tmp_path):
 
 
 # --------------------------------------------------------------- cache key
-CACHE_KEY_FIXTURE = """
-from dataclasses import dataclass, replace
-
-
-@dataclass
-class BenchmarkConfig:
-    duration_s: float = 1.0
-    seed: int = 0
-    repetitions: int = 1
-    clients: int = 1
-    trace: bool = False
-
-
-def _canonical(value):
-    return dict(vars(value))
-
-
-def cache_key(config):
-    payload = _canonical(replace(config, seed=0, repetitions=1))
-    payload.pop("clients", None)
-    payload.pop("trace", None)
-    return payload
-"""
-
-CACHE_KEY_BUCKETS = {
-    "keyed": ("duration_s",),
-    "normalized": ("seed", "repetitions"),
-    "stripped": ("clients", "trace"),
-}
-
-
-def test_key001_silent_when_classification_matches(tmp_path):
-    config = LintConfig(cache_key_buckets=dict(CACHE_KEY_BUCKETS))
-    findings = lint_source(tmp_path, CACHE_KEY_FIXTURE, config=config)
-    assert "KEY001" not in rules_of(findings)
-
-
-def test_key001_fires_on_unclassified_new_field(tmp_path):
-    # The acceptance scenario: grow BenchmarkConfig without deciding the
-    # new field's key semantics.
-    grown = CACHE_KEY_FIXTURE.replace(
-        "duration_s: float = 1.0",
-        "duration_s: float = 1.0\n    io_depth: int = 1",
-    )
-    config = LintConfig(cache_key_buckets=dict(CACHE_KEY_BUCKETS))
-    findings = lint_source(tmp_path, grown, config=config)
-    key = [finding for finding in findings if finding.rule == "KEY001"]
-    assert len(key) == 1
-    assert key[0].symbol == "BenchmarkConfig.io_depth"
-    assert "not classified" in key[0].message
-
-
-def test_key001_fires_on_stale_bucket_entry(tmp_path):
-    buckets = dict(CACHE_KEY_BUCKETS)
-    buckets["keyed"] = ("duration_s", "ghost_field")
-    config = LintConfig(cache_key_buckets=buckets)
-    findings = lint_source(tmp_path, CACHE_KEY_FIXTURE, config=config)
-    assert any(
-        finding.rule == "KEY001" and "ghost_field" in finding.symbol
-        for finding in findings
-    )
-
-
-def test_key001_fires_when_code_disagrees_with_classification(tmp_path):
-    # trace documented as keyed, but cache_key() pops it.
-    buckets = {
-        "keyed": ("duration_s", "trace"),
-        "normalized": ("seed", "repetitions"),
-        "stripped": ("clients",),
-    }
-    config = LintConfig(cache_key_buckets=buckets)
-    findings = lint_source(tmp_path, CACHE_KEY_FIXTURE, config=config)
-    assert any(
-        finding.rule == "KEY001" and finding.symbol == "cache_key.trace"
-        for finding in findings
-    )
-
-
 def test_key002_fires_on_ad_hoc_result_serialization(tmp_path):
     # A second encoder: dumping run_result_to_dict() output directly instead
     # of going through canonical_run_payload.
@@ -465,101 +391,6 @@ def test_key002_silent_inside_the_persistence_module(tmp_path):
     assert "KEY002" not in rules_of(findings)
 
 
-# ---------------------------------------------------------------- protocol
-def test_proto001_fires_on_mutable_stats_without_metricsource(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        """
-        from dataclasses import dataclass
-
-
-        @dataclass
-        class WidgetStats:
-            hits: int = 0
-        """,
-    )
-    assert "PROTO001" in rules_of(findings)
-
-
-def test_proto001_silent_on_adopters_and_frozen_summaries(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        """
-        from dataclasses import dataclass
-
-
-        class MetricSource:
-            pass
-
-
-        @dataclass
-        class WidgetStats(MetricSource):
-            hits: int = 0
-
-
-        @dataclass(frozen=True)
-        class SummaryStats:
-            mean: float = 0.0
-        """,
-    )
-    assert "PROTO001" not in rules_of(findings)
-
-
-DEVICE_REGISTRY_FIXTURE = """
-class GoodModel:
-    component_trace_enabled = False
-    last_components = None
-
-    def __init__(self):
-        self.stats = object()
-
-
-class BareModel:
-    def __init__(self):
-        self.capacity = 0
-
-
-DEVICE_REGISTRY = {
-    "good": lambda testbed: GoodModel(),
-    "bare": lambda testbed: BareModel(),
-}
-"""
-
-
-def test_proto002_fires_only_for_model_missing_hooks(tmp_path):
-    findings = lint_source(tmp_path, DEVICE_REGISTRY_FIXTURE)
-    proto = [finding for finding in findings if finding.rule == "PROTO002"]
-    assert proto, "expected hook findings for BareModel"
-    assert all("'bare'" in finding.symbol for finding in proto)
-    missing = {finding.symbol.rsplit(".", 1)[1] for finding in proto}
-    assert missing == {"stats", "component_trace_enabled", "last_components"}
-
-
-def test_proto003_fires_on_fs_without_stats_and_bare_journal(tmp_path):
-    findings = lint_source(
-        tmp_path,
-        """
-        class BareLog:
-            def __init__(self):
-                self.entries = []
-
-
-        class Fsish:
-            def __init__(self):
-                self.log = BareLog()
-
-
-        FS_REGISTRY = {
-            "fsish": lambda capacity, block: Fsish(),
-        }
-        """,
-    )
-    proto = [finding for finding in findings if finding.rule == "PROTO003"]
-    symbols = {finding.symbol for finding in proto}
-    assert "FS_REGISTRY['fsish'].stats" in symbols
-    assert any(".log." in symbol for symbol in symbols)
-
-
 # ----------------------------------------------------- runner and plumbing
 def test_lint000_reports_unparseable_module(tmp_path):
     findings = lint_source(tmp_path, "def broken(:\n    pass\n")
@@ -588,6 +419,40 @@ def test_suppression_without_reason_is_rejected(tmp_path):
     )
     with pytest.raises(LintConfigError, match="reason"):
         load_config(config_file)
+
+
+def test_rules_entry_that_is_not_a_table_is_a_config_error(tmp_path):
+    config_file = tmp_path / "lint.toml"
+    config_file.write_text(
+        '[rules]\ndeterminism = ["obs/telemetry.py"]\n', encoding="utf-8"
+    )
+    with pytest.raises(LintConfigError, match="rules.determinism"):
+        load_config(config_file)
+
+
+def test_cli_lint_rejects_a_missing_explicit_config(tmp_path, capsys):
+    tree = tmp_path / "proj"
+    tree.mkdir()
+    (tree / "clean.py").write_text("X = 1\n", encoding="utf-8")
+    missing = tmp_path / "missing.toml"
+    assert cli.main(["lint", "--root", str(tree), "--config", str(missing)]) == 2
+    assert "missing.toml" in capsys.readouterr().err
+
+
+def test_cli_lint_rejects_a_root_that_is_not_a_directory(tmp_path, capsys):
+    assert cli.main(["lint", "--root", str(tmp_path / "no-such-dir")]) == 2
+    captured = capsys.readouterr()
+    assert "no-such-dir" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_lint_takes_a_relative_root(monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)
+    assert cli.main(["lint", "--root", "src/repro", "--format", "json"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    assert document["clean"] is True
+    assert document["rules_run"] == len(RULE_REGISTRY)
+    assert document["modules_scanned"] > 50
 
 
 def test_acceptance_time_time_fails_a_run(tmp_path):

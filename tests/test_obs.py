@@ -15,18 +15,26 @@ The load-bearing guarantees, in order of importance:
 * **Classification** -- journal-less file systems attribute no journal
   time, the FTL's garbage-collection pauses land in ``gc-pause``, and
   fire-and-forget work stays out of attribution.
+* **Hooks** -- ``attach_tracer`` and ``metrics_registry()`` wire their
+  hooks without checking, so every registered file system and device
+  model runs a traced and an untraced window, and every mutable ``*Stats``
+  dataclass is a ``MetricSource``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import importlib
 import io
 import math
+import pkgutil
 from collections import defaultdict
 from dataclasses import replace
 
 import pytest
 
+import repro
 from repro.core.frame import run_metrics
 from repro.core.parallel import WorkUnit, cache_key
 from repro.core.persistence import run_result_to_dict, save_run_result
@@ -50,7 +58,8 @@ from repro.obs import (
     run_unit_traced,
     write_jsonl,
 )
-from repro.storage.config import scaled_testbed
+from repro.fs.stack import FS_REGISTRY, build_stack
+from repro.storage.config import DEVICE_REGISTRY, scaled_testbed
 from repro.workloads.registry import postmark_workload
 
 MiB = 1024 * 1024
@@ -82,6 +91,20 @@ def quick_config(**overrides) -> BenchmarkConfig:
     values = dict(duration_s=0.5, repetitions=1, warmup_mode=WarmupMode.NONE, trace=True)
     values.update(overrides)
     return BenchmarkConfig(**values)
+
+
+def assert_attribution_sums(run) -> None:
+    """Per op type, the attributed components sum to the op's latency, and
+    all of them to the histogram's sum."""
+    attr = run.attribution
+    per_op_latency = defaultdict(float)
+    for event in run.trace_events:
+        if event.cat == "op":
+            per_op_latency[event.name] += event.dur_ns
+    assert set(attr["ops"]) == {op for op, total in per_op_latency.items() if total > 0}
+    for op, categories in attr["ops"].items():
+        assert math.isclose(sum(categories.values()), per_op_latency[op], rel_tol=1e-9)
+    assert math.isclose(sum(attr["totals"].values()), run.histogram.sum_ns, rel_tol=1e-9)
 
 
 # ---------------------------------------------------------- non-perturbation
@@ -129,31 +152,16 @@ class TestNonPerturbation:
 
 # ------------------------------------------------------------------ exactness
 class TestAttributionExactness:
-    def assert_attribution_sums(self, run) -> None:
-        attr = run.attribution
-        per_op_latency = defaultdict(float)
-        for event in run.trace_events:
-            if event.cat == "op":
-                per_op_latency[event.name] += event.dur_ns
-        assert set(attr["ops"]) == {op for op, total in per_op_latency.items() if total > 0}
-        for op, categories in attr["ops"].items():
-            assert math.isclose(
-                sum(categories.values()), per_op_latency[op], rel_tol=1e-9
-            )
-        assert math.isclose(
-            sum(attr["totals"].values()), run.histogram.sum_ns, rel_tol=1e-9
-        )
-
     def test_per_op_sums_match_measured_latency_journalled(self):
         run = run_unit(golden_unit(trace=True))
-        self.assert_attribution_sums(run)
+        assert_attribution_sums(run)
         # Journalled metadata churn must show journal time somewhere.
         assert run.attribution["totals"].get("journal", 0.0) > 0
 
     def test_per_op_sums_match_measured_latency_journal_less(self):
         unit = replace(golden_unit(trace=True), fs_type="ext2")
         run = run_unit(unit)
-        self.assert_attribution_sums(run)
+        assert_attribution_sums(run)
         # ext2 has no journal: nothing may be classified as journal time.
         assert run.attribution["totals"].get("journal", 0.0) == 0.0
 
@@ -161,7 +169,7 @@ class TestAttributionExactness:
         unit = golden_unit(trace=True)
         unit = replace(unit, testbed=replace(unit.testbed, device_kind="ssd-ftl-steady"))
         run = run_unit(unit)
-        self.assert_attribution_sums(run)
+        assert_attribution_sums(run)
         totals = run.attribution["totals"]
         assert totals.get("gc-pause", 0.0) > 0
         # Seek is a mechanical-disk concept; the SSD must never report it.
@@ -412,6 +420,26 @@ class TestMetricsRegistry:
         assert cache.stats.misses == 0
         assert CacheStats().snapshot()["hit_ratio"] == 0.0
 
+    def test_every_mutable_stats_dataclass_is_a_metric_source(self):
+        """Every non-frozen ``*Stats`` dataclass in ``repro`` mixes in
+        ``MetricSource``, so ``metrics_registry()`` can snapshot and reset
+        it (a frozen one is a summary, not a set of counters)."""
+        found = set()
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            found.update(
+                value
+                for value in vars(module).values()
+                if isinstance(value, type)
+                and value.__name__.endswith("Stats")
+                and dataclasses.is_dataclass(value)
+                and not value.__dataclass_params__.frozen
+            )
+        layers = {"VfsStats", "CacheStats", "FileSystemStats", "JournalStats"}
+        layers |= {"BlockDeviceStats", "DeviceStats", "AllocatorStats"}
+        assert layers <= {cls.__name__ for cls in found}
+        assert sorted(cls.__qualname__ for cls in found if not issubclass(cls, MetricSource)) == []
+
     def test_registry_rejects_duplicates_and_bad_sources(self):
         registry = MetricsRegistry()
         stats = Attribution()  # has no snapshot/reset
@@ -426,6 +454,57 @@ class TestMetricsRegistry:
         registry.register("good", good)
         with pytest.raises(ValueError):
             registry.register("good", good)
+
+
+#: Whether each registered file system mounts a journal (or a log).  Stated
+#: here rather than read from a stack, so a new file system needs an entry.
+JOURNALLED = {"ext2": False, "ext3": True, "ext4": True, "xfs": True}
+
+
+class TestRegistryHooks:
+    """Every registered stack honours the hooks wired without checking.
+
+    ``attach_tracer`` sets the device model's ``component_trace_enabled``
+    and ``last_components`` and reads the journal's geometry;
+    ``metrics_registry()`` reads each layer's ``stats``.  A model or journal
+    that misses one fails only on the path that uses it, so every
+    ``FS_REGISTRY`` x ``DEVICE_REGISTRY`` pair runs that path here.
+    """
+
+    @pytest.mark.parametrize("device_kind", sorted(DEVICE_REGISTRY))
+    @pytest.mark.parametrize("fs_type", sorted(FS_REGISTRY))
+    def test_traced_window_uses_every_hook(self, fs_type, device_kind):
+        unit = golden_unit()
+        testbed = replace(unit.testbed, device_kind=device_kind)
+        stacks = []
+
+        def build(fs_type, testbed, seed, cpu_speed_factor):
+            stacks.append(
+                build_stack(fs_type, testbed=testbed, seed=seed, cpu_speed_factor=cpu_speed_factor)
+            )
+            return stacks[-1]
+
+        runs = [
+            BenchmarkRunner(
+                fs_type=fs_type,
+                testbed=testbed,
+                config=replace(unit.config, max_ops=300, trace=trace),
+                stack_factory=build,
+            ).run_once(unit.spec, unit.repetition)
+            for trace in (False, True)
+        ]
+        untraced, traced = runs
+        assert payloads_match(untraced, traced)
+        assert_attribution_sums(traced)
+
+        journalled = JOURNALLED[fs_type]
+        layers = {"vfs", "cache", "fs", "block", "device"} | ({"journal"} if journalled else set())
+        for stack in stacks:
+            assert set(stack.metrics_registry()) == layers
+        totals = traced.attribution["totals"]
+        assert (totals.get("journal", 0.0) > 0) == journalled
+        if device_kind == "hdd":
+            assert totals.get("seek", 0.0) > 0
 
 
 def _simple_source(cls):
