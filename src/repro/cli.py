@@ -447,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="lint.toml with rule options and justified suppressions "
-        "(default: ./lint.toml, then <project>/lint.toml)",
+        "(default: the linted project's lint.toml, then ./lint.toml)",
     )
     lint_cmd.add_argument(
         "--format",
@@ -674,7 +674,9 @@ def _run_lint(args) -> int:
             break
     config_path = Path(args.config) if args.config else None
     if config_path is None:
-        for candidate in (Path.cwd() / "lint.toml", Path(project_root) / "lint.toml"):
+        # The linted project's own file first: another tree's suppressions
+        # would not match this one, and each would fail it with LINT001.
+        for candidate in (Path(project_root) / "lint.toml", Path.cwd() / "lint.toml"):
             if candidate.exists():
                 config_path = candidate
                 break

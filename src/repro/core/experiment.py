@@ -85,6 +85,12 @@ MiB = 1024 * 1024
 #: BenchmarkConfig field (a per-cell protocol override).
 SPECIAL_AXES = ("fs", "workload", "device", "scheduler", "cache_mb", "snapshot", "seed")
 
+#: The axes that derive a cell's testbed from the experiment's.
+TESTBED_AXES = ("device", "scheduler", "cache_mb")
+
+#: A resolved workload-axis entry: ``(label, spec, default config)``.
+ResolvedWorkload = Tuple[str, WorkloadSpec, Optional[BenchmarkConfig]]
+
 
 def _config_override_fields() -> Dict[str, Any]:
     """BenchmarkConfig fields usable as grid axes (``seed`` has its own axis)."""
@@ -165,18 +171,24 @@ class ParameterGrid:
             total *= len(values)
         return total
 
-    def points(self, exclude: Sequence[str] = ()) -> List[Dict[str, Any]]:
-        """Every combination of axis values, as dictionaries.
+    def positions(self, exclude: Sequence[str] = ()) -> List[Dict[str, int]]:
+        """Every combination of axis positions (indices into each axis), in
+        :meth:`points` order.
 
         ``exclude`` drops axes from the product (the experiment excludes
         ``seed``, which pools into repetitions instead of multiplying cells).
         """
         names = [name for name in self.axes if name not in exclude]
-        if not names:
-            return [{}]
         return [
             dict(zip(names, combo))
-            for combo in itertools.product(*(self.axes[name] for name in names))
+            for combo in itertools.product(*(range(len(self.axes[name])) for name in names))
+        ]
+
+    def points(self, exclude: Sequence[str] = ()) -> List[Dict[str, Any]]:
+        """Every combination of axis values, as dictionaries (see :meth:`positions`)."""
+        return [
+            {name: self.axes[name][index] for name, index in at.items()}
+            for at in self.positions(exclude)
         ]
 
     def describe(self) -> str:
@@ -215,20 +227,27 @@ class ExperimentCell:
         Repetition ``i`` runs with effective seed ``seeds[i]``; the unit's
         config is rebased so ``config.seed + i == seeds[i]``, which keeps the
         runner's contract, and therefore the cache keys and the payloads of
-        ``BenchmarkRunner.run_once(spec, i)``, exactly as they were.
+        ``BenchmarkRunner.run_once(spec, i)``, exactly as they were.  Units
+        with the same base seed ``seeds[i] - i`` share one rebased config:
+        consecutive seeds, the usual case, need one for the whole cell.
         """
+        bases = [seed - index for index, seed in enumerate(self.seeds)]
+        configs = {
+            base: replace(self.config, seed=base, repetitions=len(self.seeds))
+            for base in dict.fromkeys(bases)
+        }
         return [
             WorkUnit(
                 fs_type=self.fs_type,
                 spec=self.spec,
-                config=replace(self.config, seed=seed - index, repetitions=len(self.seeds)),
+                config=configs[base],
                 repetition=index,
                 testbed=self.testbed,
                 group=self.label,
                 snapshot_path=self.snapshot_path,
                 snapshot_fingerprint=self.snapshot_fingerprint,
             )
-            for index, seed in enumerate(self.seeds)
+            for index, base in enumerate(bases)
         ]
 
 
@@ -427,10 +446,18 @@ class Experiment:
             and len(set(map(repr, self.grid.axis(name)))) > 1
         ]
 
+        # A workload entry, and a combination of testbed entries, is resolved
+        # when a cell first uses it (so an error surfaces at that cell) and
+        # shared by every later cell that uses it.  Keyed by axis position,
+        # not value: 1 == 1.0 == True are separate entries, and a workload
+        # entry need not be hashable.
+        testbeds: Dict[Tuple[Optional[int], ...], TestbedConfig] = {}
+        workloads: Dict[Optional[int], ResolvedWorkload] = {}
         cells: List[ExperimentCell] = []
         used_labels: Dict[str, int] = {}
-        for point in self.grid.points(exclude=("seed",)):
-            cell = self._resolve_point(point, seeds_axis, suffix_axes)
+        for at in self.grid.positions(exclude=("seed",)):
+            point = {name: self.grid.axis(name)[index] for name, index in at.items()}
+            cell = self._resolve_point(point, at, testbeds, workloads, seeds_axis, suffix_axes)
             cell.label = _deduped_label(cell.label, cell.label, used_labels)
             cells.append(cell)
         return cells
@@ -438,6 +465,9 @@ class Experiment:
     def _resolve_point(
         self,
         point: Dict[str, Any],
+        at: Dict[str, int],
+        testbeds: Dict[Tuple[Optional[int], ...], TestbedConfig],
+        workloads: Dict[Optional[int], ResolvedWorkload],
         seeds_axis: Optional[Tuple[int, ...]],
         suffix_axes: Sequence[str],
     ) -> ExperimentCell:
@@ -448,15 +478,21 @@ class Experiment:
             known = ", ".join(sorted(FS_REGISTRY))
             raise ValueError(f"unknown fs {fs_type!r} on the fs axis (known: {known})")
 
-        testbed = self._derive_testbed(point)
+        testbed_at = tuple(at.get(name) for name in TESTBED_AXES)
+        if testbed_at not in testbeds:
+            testbeds[testbed_at] = self._derive_testbed(point)
+        testbed = testbeds[testbed_at]
         # Registry factories size against the experiment's *base* testbed,
         # not the per-cell variant: otherwise a cache_mb sweep would resize
         # the working set in lockstep with the cache under test and every
         # cell would measure the same ratio.  Testbed axes vary the machine
         # under a fixed workload, which is the paper's fragility axis.
-        workload_label, spec, workload_config = _resolve_workload(
-            point.get("workload", "random-read-cached"), self.testbed
-        )
+        workload_at = at.get("workload")
+        if workload_at not in workloads:
+            workloads[workload_at] = _resolve_workload(
+                point.get("workload", "random-read-cached"), self.testbed
+            )
+        workload_label, spec, workload_config = workloads[workload_at]
 
         config = self.config or workload_config or BenchmarkConfig()
         config = self._apply_overrides(config, point)
@@ -646,7 +682,7 @@ class Experiment:
 # ------------------------------------------------------------------ resolvers
 def _resolve_workload(
     value: Any, testbed: TestbedConfig
-) -> Tuple[str, WorkloadSpec, Optional[BenchmarkConfig]]:
+) -> ResolvedWorkload:
     """Resolve a workload-axis value to ``(label, spec, default config)``."""
     if isinstance(value, NanoBenchmark):
         return value.name, value.build_workload(), value.config

@@ -40,7 +40,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.core.persistence import load_run_result, save_run_result
 from repro.core.results import RunResult
@@ -173,41 +173,66 @@ def _config_text(config: BenchmarkConfig) -> str:
     return _ENCODER.encode(payload)
 
 
+def _held_text(
+    held: List[Tuple[object, str]], value: object, encode: Callable[[Any], str]
+) -> str:
+    """The text ``held`` keeps for the very object ``value``, else
+    ``encode(value)``, which is then kept with it.  The newest is tried
+    first, so the units of one cell find their object at once."""
+    for kept, text in reversed(held):
+        if kept is value:
+            return text
+    text = encode(value)
+    held.append((value, text))
+    return text
+
+
+def _spec_text(spec: WorkloadSpec) -> str:
+    return _ENCODER.encode(_canonical(spec))
+
+
+def _testbed_text(testbed: Optional[TestbedConfig]) -> str:
+    """``testbed=None`` is the paper's testbed."""
+    return _ENCODER.encode(_canonical(testbed if testbed is not None else paper_testbed()))
+
+
 class _KeyScan:
     """The JSON texts that one key scan reuses.
 
-    A cell's units come one after another
-    (:meth:`~repro.core.experiment.ExperimentCell.work_units`).  They share
-    their spec and testbed objects, and each has its own config, a copy
-    that differs only in ``seed`` and ``repetitions``.  So the scan keeps
-    the text of the spec, the testbed and the config it encoded last, and
-    reuses one while the next unit passes:
+    An experiment resolves each workload entry, and each combination of
+    testbed entries, once, so its cells share spec and testbed objects
+    (:meth:`~repro.core.experiment.Experiment.cells`).  A cell's units come
+    one after another, and their configs differ in ``seed`` at most
+    (:meth:`~repro.core.experiment.ExperimentCell.work_units`).  So the scan
+    keeps the text of every spec and testbed object it encodes, and of the
+    config it encoded last, and reuses one while a unit passes:
 
-    * the very spec or testbed object encoded last;
+    * a spec or testbed object it has encoded, whatever the units between;
     * a config of the same class whose every keyed field value (every
       field not in :data:`CONFIG_KEY_OVERRIDES`) is the very object the
       last one held.  The other fields do not reach the config text.
 
     Identity, not equality: ``1 == 1.0``, yet they encode differently, and
-    lint rule DET004 bans ``id()``.  Holding the objects keeps their
-    identities from passing to newcomers.
+    lint rule DET004 bans ``id()``.  So a spec or testbed is looked up by an
+    ``is`` scan over the objects held, whose length is the number of
+    distinct objects: for an experiment, its workload entries and its
+    testbed combinations.  Holding the objects keeps their identities from
+    passing to newcomers.
     """
 
     def __init__(self) -> None:
-        self._spec: Optional[Tuple[WorkloadSpec, str]] = None
-        self._testbed: Optional[Tuple[Optional[TestbedConfig], str]] = None
+        self._specs: List[Tuple[object, str]] = []
+        self._testbeds: List[Tuple[object, str]] = []
         self._config: Optional[Tuple[List[object], str]] = None
 
     def texts(
         self, spec: WorkloadSpec, testbed: Optional[TestbedConfig]
     ) -> Tuple[str, str]:
         """JSON texts of ``(spec, testbed)``; ``testbed=None`` is the paper's."""
-        if self._spec is None or self._spec[0] is not spec:
-            self._spec = (spec, _ENCODER.encode(_canonical(spec)))
-        if self._testbed is None or self._testbed[0] is not testbed:
-            resolved = testbed if testbed is not None else paper_testbed()
-            self._testbed = (testbed, _ENCODER.encode(_canonical(resolved)))
-        return self._spec[1], self._testbed[1]
+        return (
+            _held_text(self._specs, spec, _spec_text),
+            _held_text(self._testbeds, testbed, _testbed_text),
+        )
 
     def config_text(self, config: BenchmarkConfig) -> str:
         """The last config's text if ``config`` holds its very keyed field
@@ -270,10 +295,10 @@ def cache_key(
     payload gives.  Alone, a key costs one canonicalisation and one encoding
     each of the spec, the testbed and the config.  ``scan`` is the reuse
     state of a :meth:`ParallelExecutor.run_units` key scan: with it, a key
-    reuses the texts of the previous key for the very same spec and testbed
-    objects, and for a config holding the very same keyed field values (see
-    :class:`_KeyScan`), so it costs an identity check over the keyed
-    fields, a text join and a SHA-256.  The key is the same either way.
+    reuses the texts of the scan's earlier keys for the very same spec and
+    testbed objects, and of the previous key for a config holding the very
+    same keyed field values (see :class:`_KeyScan`), so it costs identity
+    checks, a text join and a SHA-256.  The key is the same either way.
     """
     scan = scan or _KeyScan()
     spec_text, testbed_text = scan.texts(spec, testbed)
@@ -664,10 +689,10 @@ class ParallelExecutor:
         exception unchanged.
 
         The key scan computes one key per unit (with a cache or a sink
-        attached), in unit order.  Consecutive units of a cell encode their
-        spec, testbed and config once (see :class:`_KeyScan`); the reuse
-        state lives for this call only, so a spec or config mutated between
-        calls is encoded afresh.
+        attached), in unit order.  It encodes each spec and testbed object
+        once, and the config once per run of units holding the same keyed
+        values (see :class:`_KeyScan`); the reuse state lives for this call
+        only, so a spec or config mutated between calls is encoded afresh.
         """
         units = list(units)
         results: List[Optional[RunResult]] = [None] * len(units)

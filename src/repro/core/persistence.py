@@ -107,7 +107,7 @@ def run_result_to_dict(run: RunResult) -> Dict:
 # --------------------------------------------------------------------------- decode
 def _histogram_from_dict(payload: Dict) -> LatencyHistogram:
     histogram = LatencyHistogram(buckets=len(payload["counts"]))
-    histogram.counts = [int(count) for count in payload["counts"]]
+    histogram.counts = list(map(int, payload["counts"]))
     histogram.total = int(payload["total"])
     histogram.sum_ns = float(payload["sum_ns"])
     histogram.max_ns = float(payload["max_ns"])
@@ -118,9 +118,9 @@ def _histogram_from_dict(payload: Dict) -> LatencyHistogram:
 
 def _timeline_from_dict(payload: Dict) -> IntervalSeries:
     series = IntervalSeries(interval_s=payload["interval_s"], origin_ns=payload["origin_ns"])
-    series._ops = [int(value) for value in payload["ops"]]
-    series._bytes = [int(value) for value in payload["bytes"]]
-    series._latency_sums = [float(value) for value in payload["latency_sums"]]
+    series._ops = list(map(int, payload["ops"]))
+    series._bytes = list(map(int, payload["bytes"]))
+    series._latency_sums = list(map(float, payload["latency_sums"]))
     return series
 
 
@@ -151,7 +151,7 @@ def run_result_from_dict(payload: Dict) -> RunResult:
         histogram_timeline=(
             _histogram_timeline_from_dict(histogram_timeline) if histogram_timeline else None
         ),
-        raw_latencies_ns=[float(value) for value in raw] if raw is not None else None,
+        raw_latencies_ns=list(map(float, raw)) if raw is not None else None,
         cache_hit_ratio=float(payload["cache_hit_ratio"]),
         device_reads=int(payload["device_reads"]),
         device_writes=int(payload["device_writes"]),

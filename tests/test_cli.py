@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import argparse
+import json
+from pathlib import Path
 
 import pytest
 
@@ -250,3 +252,27 @@ class TestSingleCellCommands:
         argv = [command, "--axis", "workload=random-read-cached", "--axis", axis]
         assert cli.main([*argv, "--scaled-testbed", "0.0625"]) == 2
         assert "pin every --axis to a single value" in capsys.readouterr().err
+
+
+class TestLintCommand:
+    def test_another_tree_is_linted_with_its_own_lint_toml(self, tmp_path, monkeypatch, capsys):
+        # Run from this checkout, whose lint.toml holds a suppression that
+        # matches nothing in the other tree: applied there, it is LINT001.
+        checkout = Path(__file__).resolve().parents[1]
+        assert (checkout / "lint.toml").is_file()
+        project = tmp_path / "other"
+        (project / "pkg").mkdir(parents=True)
+        (project / "pkg" / "clock.py").write_text(
+            "import time\n\n\ndef now():\n    return time.time()\n", encoding="utf-8"
+        )
+        (project / "lint.toml").write_text(
+            '[[suppress]]\nrule = "DET001"\npath = "pkg/clock.py"\n'
+            'reason = "this tree reads host time on purpose"\n',
+            encoding="utf-8",
+        )
+        monkeypatch.chdir(checkout)
+        assert cli.main(["lint", "--root", str(project / "pkg"), "--format", "json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["config"] == str(project / "lint.toml")
+        assert document["findings"] == []
+        assert [entry["rule"] for entry in document["suppressed"]] == ["DET001"]

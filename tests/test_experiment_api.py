@@ -271,6 +271,98 @@ class TestExperimentExpansion:
         assert cell.spec.name == "postmark"
         assert cell.label == "postmark@ext4"
 
+    def test_each_workload_entry_resolves_once_and_cells_share_its_spec(self, testbed):
+        from repro.workloads import WORKLOAD_REGISTRY, register_workload
+
+        calls = {"factory": [], "registered": []}
+
+        def factory():
+            calls["factory"].append(None)
+            return random_read_workload(2 * MiB, name="from-factory")
+
+        def registered(base):
+            calls["registered"].append(base)
+            return random_read_workload(2 * MiB, name="counted-read")
+
+        register_workload("counted-read", registered)
+        try:
+            cells = Experiment(
+                ParameterGrid.of(
+                    fs=("ext2", "xfs"), workload=(factory, "counted-read"), cache_mb=(8, 16)
+                ),
+                config=quick_config(),
+                testbed=testbed,
+            ).cells()
+        finally:
+            WORKLOAD_REGISTRY.pop("counted-read", None)
+        assert len(calls["factory"]) == 1
+        assert calls["registered"] == [testbed]  # the base testbed, not a cell's
+        assert len(cells) == 8
+        for name in ("from-factory", "counted-read"):
+            specs = [cell.spec for cell in cells if cell.axes["workload"] == name]
+            assert len(specs) == 4
+            assert all(spec is specs[0] for spec in specs)
+
+    def test_each_testbed_entry_derives_one_testbed(self, testbed):
+        cells = Experiment(
+            ParameterGrid.of(
+                fs=("ext2", "xfs"), workload=("random-read-cached",), device=("hdd", "ssd")
+            ),
+            config=quick_config(),
+            testbed=testbed,
+        ).cells()
+        distinct = []
+        for cell in cells:
+            if not any(cell.testbed is seen for seen in distinct):
+                distinct.append(cell.testbed)
+        assert [machine.device_kind for machine in distinct] == ["hdd", "ssd"]
+        assert [cell.testbed.device_kind for cell in cells] == ["hdd", "ssd"] * 2
+
+    def test_non_consecutive_seeds_rebase_each_unit(self, testbed, benchmarks):
+        experiment = Experiment(
+            ParameterGrid.of(workload=[benchmarks[0]], fs=("ext2",), seed=(1, 5, 9)),
+            testbed=testbed,
+        )
+        units = experiment.work_units()
+        assert [unit.config.seed + unit.repetition for unit in units] == [1, 5, 9]
+        assert [unit.config.repetitions for unit in units] == [3, 3, 3]
+        # Consecutive seeds share one base seed, so one rebased config.
+        consecutive = Experiment(
+            ParameterGrid.of(workload=[benchmarks[0]], fs=("ext2",), seed=(4, 5, 6)),
+            testbed=testbed,
+        ).work_units()
+        assert [unit.seed for unit in consecutive] == [4, 5, 6]
+        assert all(unit.config is consecutive[0].config for unit in consecutive)
+        assert consecutive[0].config.seed == 4
+
+    def test_resolution_errors_keep_their_messages(self, testbed):
+        from repro.storage.config import DEVICE_REGISTRY
+        from repro.workloads import WORKLOAD_REGISTRY
+
+        def cells(**axes):
+            return Experiment(
+                ParameterGrid.of(**axes), config=quick_config(), testbed=testbed
+            ).cells()
+
+        # Each bad entry comes second, after a cell that resolves.
+        with pytest.raises(ValueError) as error:
+            cells(workload=("random-read-cached", "no-such"))
+        known = ", ".join(sorted(WORKLOAD_REGISTRY))
+        assert str(error.value) == f"unknown workload 'no-such' (known: {known})"
+        with pytest.raises(ValueError) as error:
+            cells(device=("hdd", "tape"))
+        known = ", ".join(sorted(DEVICE_REGISTRY))
+        assert str(error.value) == f"unknown device 'tape' (known: {known})"
+        with pytest.raises(ValueError) as error:
+            cells(cache_mb=(8, 64.5))
+        assert str(error.value) == "cache_mb axis values must be whole MiB, got 64.5"
+        with pytest.raises(ValueError) as error:
+            cells(cache_mb=(8, 0))
+        assert str(error.value) == "cache_mb axis values must be positive"
+        # The first bad cell's first check still wins.
+        with pytest.raises(ValueError, match="unknown fs"):
+            cells(fs=("zfs",), workload=("no-such",), device=("tape",))
+
     def test_duplicate_labels_disambiguated(self, testbed):
         spec = random_read_workload(2 * MiB)
         clone = random_read_workload(4 * MiB, name=spec.name)

@@ -43,6 +43,7 @@ from repro.core.suite import NanoBenchmarkSuite
 from repro.core.survey import MeasuredSurvey
 from repro.storage.config import scaled_testbed
 from repro.workloads.micro import random_read_workload, stat_workload
+from repro.workloads.spec import WorkloadSpec
 
 MiB = 1024 * 1024
 
@@ -254,6 +255,36 @@ class TestCacheKey:
         keys = scan_keys(units)
         assert keys == self.fresh_keys(units)
         assert len(set(keys)) == 3
+
+    def test_scan_encodes_each_spec_and_testbed_object_once(
+        self, testbed, scan_keys, monkeypatch
+    ):
+        from repro.core import parallel
+
+        spec_a, spec_b = random_read_workload(MiB), random_read_workload(2 * MiB)
+        other = scaled_testbed(1.0 / 8.0)
+        units = [
+            WorkUnit("ext2", spec, quick_config(), repetition=index, testbed=machine)
+            for index, (spec, machine) in enumerate(
+                [(spec_a, testbed), (spec_b, testbed), (spec_a, other), (spec_b, other)]
+            )
+        ]
+        encoded = []
+        canonical = parallel._canonical
+
+        def counting(value):
+            if isinstance(value, (WorkloadSpec, type(testbed))):
+                encoded.append(value)
+            return canonical(value)
+
+        monkeypatch.setattr(parallel, "_canonical", counting)
+        keys = scan_keys(units)
+        monkeypatch.undo()
+        assert len(encoded) == 4
+        for value in (spec_a, spec_b, testbed, other):
+            assert sum(value is seen for seen in encoded) == 1
+        assert keys == self.fresh_keys(units)
+        assert len(set(keys)) == 4
 
     def test_spec_mutated_between_scans_gets_a_fresh_key(self, testbed, nano, scan_keys):
         executor = ParallelExecutor()
