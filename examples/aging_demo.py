@@ -9,8 +9,9 @@ example makes the hidden variable explicit:
    space) and print the fragmentation metrics that describe it;
 2. save the state as a deterministic snapshot -- a shareable artifact that
    anyone can restore bit-for-bit;
-3. run the identical PostMark configuration on a fresh stack and on a
-   restored aged stack, and report both numbers side by side.
+3. measure the PostMark transaction mix on a fresh stack and on the
+   restored aged state -- one experiment whose ``snapshot`` axis holds both,
+   as ``run_aged_vs_fresh`` runs it -- and report both side by side.
 
 ::
 
@@ -23,17 +24,12 @@ import argparse
 import os
 import tempfile
 
-from repro.aging import (
-    ChurnAger,
-    load_snapshot,
-    quick_aging_config,
-    restore_stack,
-    save_snapshot,
-    snapshot_stack,
-)
+from repro.aging import ChurnAger, quick_aging_config, save_snapshot, snapshot_stack
+from repro.core.experiment import Experiment, ParameterGrid
+from repro.core.runner import BenchmarkConfig, WarmupMode
 from repro.fs.stack import DEFAULT_FS_TYPES, build_stack
 from repro.storage.config import paper_testbed, scaled_testbed
-from repro.workloads import PostmarkConfig, run_postmark
+from repro.workloads import postmark_workload
 
 
 def main(argv=None) -> int:
@@ -46,13 +42,18 @@ def main(argv=None) -> int:
     # Files larger than the aged free-space holes and a pool larger than the
     # page cache: the read half of each transaction must touch the (aged,
     # fragmented) disk layout instead of being absorbed by the cache.
-    postmark = PostmarkConfig(
-        initial_files=60 if args.quick else 400,
-        transactions=150 if args.quick else 1000,
+    postmark = postmark_workload(
+        file_count=60 if args.quick else 400,
         min_size=128 * 1024,
         max_size=(1 if args.quick else 2) * 1024 * 1024,
         iosize=128 * 1024,
-        seed=42,
+    )
+    # A cold-cache protocol, identical for both states.
+    config = BenchmarkConfig(
+        duration_s=1.0 if args.quick else 5.0,
+        repetitions=3 if args.quick else 5,
+        warmup_mode=WarmupMode.NONE,
+        cold_cache=True,
     )
 
     # 1. Age a stack and describe the damage.
@@ -67,23 +68,24 @@ def main(argv=None) -> int:
     size_kib = os.path.getsize(snapshot_path) // 1024
     print(
         f"\nSaved the aged state to {snapshot_path} ({size_kib} KiB; "
-        "removed again once restored below)"
+        "removed again once measured below)"
     )
 
-    # 3. Identical PostMark runs: fresh format vs. restored aged state.
-    fresh_stack = build_stack(args.fs, testbed=testbed, seed=99)
-    fresh = run_postmark(fresh_stack, postmark)
-    aged_stack = restore_stack(load_snapshot(snapshot_path), seed=99)
+    # 3. The same PostMark protocol on a fresh format (snapshot None) and on
+    #    the restored aged state, as the two cells of one experiment.
+    outcome = Experiment(
+        ParameterGrid.of(fs=[args.fs], workload=[postmark], snapshot=[None, snapshot_path]),
+        name=f"aging-demo-{args.fs}",
+        config=config,
+        testbed=testbed,
+    ).run()
     os.unlink(snapshot_path)  # the demo's artifact; don't litter the temp dir
-    aged = run_postmark(aged_stack, postmark)
+    fresh = outcome.result_for(snapshot=None).throughput_summary()
+    aged = outcome.result_for(snapshot=snapshot_path).throughput_summary()
 
-    print(f"\nfresh {args.fs}: {fresh.summary()}")
-    print(f"aged  {args.fs}: {aged.summary()}")
-    ratio = (
-        fresh.transactions_per_second / aged.transactions_per_second
-        if aged.transactions_per_second > 0
-        else float("inf")
-    )
+    print(f"\nfresh {args.fs}: PostMark {fresh.format('ops/s')}")
+    print(f"aged  {args.fs}: PostMark {aged.format('ops/s')}")
+    ratio = fresh.mean / aged.mean if aged.mean > 0 else float("inf")
     direction = "slower" if ratio > 1 else "faster"
     magnitude = ratio if ratio > 1 else 1 / ratio
     print(

@@ -3,10 +3,11 @@
 
 The survey (Table 1) classifies Filebench and Postmark as benchmarks that
 *exercise* many dimensions without isolating any.  This example runs the
-webserver and varmail personalities plus a PostMark pass against a simulated
-stack and prints, next to every headline number, the evidence of what was
-really measured: the cache hit ratio, the device utilisation, the latency
-modality, and the dimension-coverage vector of the workload.
+webserver and varmail personalities and the PostMark transaction mix under
+one measurement protocol against a simulated stack and prints, next to every
+headline number, the evidence of what was really measured: the cache hit
+ratio, the device utilisation, the latency modality, and the
+dimension-coverage vector of the workload.
 
 ::
 
@@ -19,16 +20,10 @@ import argparse
 
 from repro.core.dimensions import DimensionVector
 from repro.core.experiment import Experiment, ParameterGrid
-from repro.core.histogram import LatencyHistogram
 from repro.core.runner import BenchmarkConfig, WarmupMode
 from repro.storage.config import paper_testbed, scaled_testbed
-from repro.workloads import (
-    PostmarkConfig,
-    run_postmark,
-    varmail_personality,
-    webserver_personality,
-)
-from repro.fs.stack import DEFAULT_FS_TYPES, build_stack
+from repro.workloads import postmark_workload, varmail_personality, webserver_personality
+from repro.fs.stack import DEFAULT_FS_TYPES
 
 
 def describe_run(name, repetitions, dimensions):
@@ -66,33 +61,16 @@ def main(argv=None) -> int:
 
     web = webserver_personality(file_count=file_count, threads=2)
     mail = varmail_personality(file_count=file_count, threads=2)
+    postmark = postmark_workload(file_count=file_count)
     outcome = Experiment(
-        ParameterGrid.of(workload=[web, mail], fs=[args.fs]),
+        ParameterGrid.of(workload=[web, mail, postmark], fs=[args.fs]),
         name="macro-personalities",
         config=config,
         testbed=testbed,
     ).run()
     describe_run("Filebench-like webserver", outcome.result_for(workload=web.name), web.dimensions)
     describe_run("Filebench-like varmail", outcome.result_for(workload=mail.name), mail.dimensions)
-
-    # PostMark is a one-shot transaction benchmark, run directly on a stack.
-    stack = build_stack(args.fs, testbed=testbed, seed=11)
-    postmark = run_postmark(
-        stack,
-        PostmarkConfig(
-            initial_files=file_count,
-            transactions=300 if args.quick else 2000,
-        ),
-    )
-    print("--- PostMark")
-    print(f"  {postmark.summary()}")
-    merged = LatencyHistogram()
-    for latencies in postmark.op_latencies_ns.values():
-        merged.add_many(latencies)
-    print(f"  latency    : mean {merged.mean_ns() / 1000:.1f} us, "
-          f"{'bi-modal' if merged.is_bimodal() else 'uni-modal'}")
-    print(f"  cache hits : {stack.cache.stats.hit_ratio * 100:.1f}%")
-    print()
+    describe_run("PostMark", outcome.result_for(workload=postmark.name), postmark.dimensions)
     print(
         "None of these numbers says which dimension was measured -- the hit ratios "
         "and modality above are what determine whether you benchmarked RAM, the "

@@ -11,14 +11,14 @@ makes it irreproducible.
 
 This example makes the device state explicit:
 
-1. build one storage stack on a fresh ``ssd-ftl`` device and one whose
-   device was deterministically preconditioned to steady state
+1. measure the PostMark transaction mix on a fresh ``ssd-ftl`` device and
+   on one deterministically preconditioned to steady state
    (:func:`repro.storage.flash.precondition_ssd`: fill, burn-in, churn until
-   write amplification is statistically steady);
-2. run the identical PostMark configuration on both;
-3. report throughput side by side with the flash telemetry -- write
+   write amplification is statistically steady), as the two values of one
+   experiment's ``device`` axis -- what ``fsbench-rocket ssd-steady`` runs;
+2. report throughput side by side with the flash telemetry -- write
    amplification, erase counts and garbage-collection pause time -- that
-   explains the gap.
+   explains the gap, plus the experiment's qualitative checks.
 
 ::
 
@@ -28,11 +28,11 @@ This example makes the device state explicit:
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
 
-from repro.fs.stack import DEFAULT_FS_TYPES, build_stack
+from repro.experiments import run_fresh_vs_steady
+from repro.fs.stack import DEFAULT_FS_TYPES
 from repro.storage.config import paper_testbed, scaled_testbed
-from repro.workloads import PostmarkConfig, run_postmark
+from repro.workloads import postmark_workload
 
 
 def main(argv=None) -> int:
@@ -41,46 +41,35 @@ def main(argv=None) -> int:
     parser.add_argument("--fs", default="ext4", choices=DEFAULT_FS_TYPES)
     args = parser.parse_args(argv)
 
-    base = scaled_testbed(0.0625) if args.quick else paper_testbed()
     # Write-heavy PostMark: files big enough that the write stream must reach
     # the device instead of idling in the page cache, which is where the two
     # device states diverge.
-    postmark = PostmarkConfig(
-        initial_files=60 if args.quick else 300,
-        transactions=200 if args.quick else 1500,
+    postmark = postmark_workload(
+        file_count=60 if args.quick else 300,
         min_size=64 * 1024,
         max_size=(512 if args.quick else 1024) * 1024,
         iosize=64 * 1024,
-        seed=42,
     )
+    # The steady device comes from DEVICE_REGISTRY's deterministic
+    # preconditioner, so the "aged device" here is exactly the state every
+    # other harness (and every other machine) would manufacture.
+    result = run_fresh_vs_steady(
+        fs_type=args.fs,
+        workload=postmark,
+        testbed=scaled_testbed(0.0625) if args.quick else paper_testbed(),
+        quick=args.quick,
+    )
+    print(result.render())
+    print()
+    for state, repetitions in (("ssd-ftl-fresh", result.fresh), ("ssd-ftl-steady", result.steady)):
+        print(f"{state:>16}: {repetitions.throughput_summary().format('ops/s')}")
 
-    results = {}
-    for state in ("ssd-ftl-fresh", "ssd-ftl-steady"):
-        testbed = replace(base, device_kind=state)
-        # Building the stack constructs the device through DEVICE_REGISTRY;
-        # the -steady factory runs the deterministic preconditioner, so the
-        # "aged device" here is exactly the state every other harness (and
-        # every other machine) would manufacture.
-        stack = build_stack(args.fs, testbed=testbed, seed=99)
-        outcome = run_postmark(stack, postmark)
-        results[state] = (outcome, stack.device.model.stats, stack.device.model.wear_summary())
-        print(f"{state:>16}: {outcome.summary()}")
-
-    fresh, steady = results["ssd-ftl-fresh"], results["ssd-ftl-steady"]
-    print("\nFlash telemetry (measured window):")
-    for label, (_, stats, wear) in results.items():
-        print(
-            f"  {label:>16}: write amplification {stats.write_amplification or 1.0:.2f}, "
-            f"{stats.erases} erases, GC {stats.gc_time_ns / 1e6:.1f} ms, "
-            f"max wear {wear['max_erases']:.0f} erase cycles"
-        )
-
-    fresh_tps = fresh[0].transactions_per_second
-    steady_tps = steady[0].transactions_per_second
-    ratio = fresh_tps / steady_tps if steady_tps > 0 else float("inf")
+    ratio = result.slowdown_factor
     print(
         f"\nThe same PostMark run is {ratio:.2f}x "
-        f"{'slower' if ratio > 1 else 'faster'} on the steady-state device. "
+        f"{'slower' if ratio > 1 else 'faster'} on the steady-state device, whose "
+        f"write amplification is {result.steady_write_amplification:.2f} against "
+        f"{result.fresh_write_amplification:.2f} fresh. "
         "A fresh-out-of-box SSD number and a preconditioned one are different "
         "experiments; report which state you measured (or snapshot it -- FTL "
         "state round-trips through repro.aging.snapshot_stack bit-identically)."

@@ -21,11 +21,12 @@ from repro.core.stats import summarize
 from repro.fs.stack import build_stack
 from repro.storage.config import paper_testbed, scaled_testbed
 from repro.workloads import (
-    PostmarkConfig,
+    OpType,
     TraceRecorder,
     TraceReplayer,
+    WorkloadEngine,
     load_trace,
-    run_postmark,
+    postmark_workload,
     save_trace,
 )
 
@@ -36,22 +37,28 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     testbed = scaled_testbed(0.125) if args.quick else paper_testbed()
-    transactions = 200 if args.quick else 1000
+    operations = 200 if args.quick else 1000
 
     # 1. Run PostMark once on ext2, recording every operation.
     source = build_stack("ext2", testbed=testbed, seed=21)
+    executed = []
+    engine = WorkloadEngine(source, postmark_workload(file_count=50), on_op=executed.append)
+    engine.run(max_ops=operations)
+    print(
+        f"Recorded source run on ext2: {engine.ops_executed} PostMark operations "
+        f"in {source.clock.now_s:.2f} simulated s"
+    )
+
+    # The engine's op records carry no path, so the trace maps the recorded
+    # reads and appends, in order, onto 20 published files it creates first.
     recorder = TraceRecorder()
     for index in range(20):
-        recorder.record(source.clock.now_ns, "create", f"/traced/f{index:03d}")
-    result = run_postmark(source, PostmarkConfig(initial_files=50, transactions=transactions))
-    print(f"Recorded source run on ext2: {result.summary()}")
-
-    # PostMark drives the stack directly; capture a representative op stream
-    # from its per-op latencies plus the explicit creates recorded above.
-    for index, latency in enumerate(result.op_latencies_ns["read"]):
-        recorder.record(float(index), "read", f"/traced/f{index % 20:03d}", 0, 4096)
-    for index, latency in enumerate(result.op_latencies_ns["append"]):
-        recorder.record(float(index), "write", f"/traced/f{index % 20:03d}", 4096, 4096)
+        recorder.record(0.0, "create", f"/traced/f{index:03d}")
+    data_ops = [record for record in executed if record.op in (OpType.READ, OpType.APPEND)]
+    for index, record in enumerate(data_ops):
+        offset = 0 if record.op is OpType.READ else 4096
+        path = f"/traced/f{index % 20:03d}"
+        recorder.record(record.end_time_ns, record.op.value, path, offset, record.bytes_moved)
 
     with tempfile.NamedTemporaryFile("w", suffix=".trace", delete=False) as handle:
         trace_path = handle.name

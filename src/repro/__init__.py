@@ -93,7 +93,6 @@ from repro.storage import (
     paper_testbed,
     precondition_ssd,
     scaled_testbed,
-    ssd_ftl_testbed,
 )
 from repro.workloads import (
     WorkloadEngine,
@@ -148,7 +147,6 @@ __all__ = [
     "Tracer",
     "paper_testbed",
     "scaled_testbed",
-    "ssd_ftl_testbed",
     "TestbedConfig",
     "FlashGeometry",
     "FlashTranslationLayer",

@@ -14,7 +14,7 @@ researchers should be making explicitly:
   refuses to produce a single-number winner when the data spans regimes.
 """
 
-from repro.analysis.comparison import ComparisonVerdict, compare_repetition_sets, compare_sweeps
+from repro.analysis.comparison import ComparisonVerdict, compare_repetition_sets
 from repro.analysis.fragility import (
     FragilityReport,
     FragilityWarning,
@@ -27,7 +27,6 @@ from repro.analysis.transition import TransitionRegion, find_transition, refine_
 __all__ = [
     "ComparisonVerdict",
     "compare_repetition_sets",
-    "compare_sweeps",
     "FragilityReport",
     "FragilityWarning",
     "assess_aging",

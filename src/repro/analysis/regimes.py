@@ -82,20 +82,3 @@ def regime_ranges(sweep: Mapping[float, RepetitionSet]) -> List[Tuple[Regime, fl
         else:
             ranges.append((regime, parameter, parameter))
     return ranges
-
-
-def per_regime_summary(sweep: Mapping[float, RepetitionSet]) -> Dict[Regime, Dict[str, float]]:
-    """Mean throughput and spread per regime (the honest way to summarise Figure 1)."""
-    grouped: Dict[Regime, List[float]] = {}
-    for parameter, regime in classify_sweep(sweep).items():
-        grouped.setdefault(regime, []).extend(sweep[parameter].throughputs())
-    summary: Dict[Regime, Dict[str, float]] = {}
-    for regime, values in grouped.items():
-        mean = sum(values) / len(values)
-        summary[regime] = {
-            "mean_ops_s": mean,
-            "min_ops_s": min(values),
-            "max_ops_s": max(values),
-            "samples": float(len(values)),
-        }
-    return summary

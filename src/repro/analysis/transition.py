@@ -139,16 +139,3 @@ def _change_factor(a: float, b: float) -> float:
     if low <= 0:
         return float("inf") if high > 0 else 1.0
     return high / low
-
-
-def expected_transition_bytes(page_cache_bytes: int) -> Tuple[int, int]:
-    """The file-size range where the cliff is expected for a given cache size.
-
-    The cliff happens where the file stops fitting in the available page
-    cache; environmental noise of a few MiB widens it.  Used by tests and by
-    the zoom experiment to position their fine sweeps.
-    """
-    if page_cache_bytes <= 0:
-        raise ValueError("page_cache_bytes must be positive")
-    slack = 16 * 1024 * 1024
-    return (page_cache_bytes - slack, page_cache_bytes + slack)

@@ -50,17 +50,7 @@ from repro.core.parallel import (
     cache_key,
     execute_unit,
 )
-from repro.core.stats import (
-    SummaryStatistics,
-    bimodality_coefficient,
-    bootstrap_ci,
-    confidence_interval,
-    detect_outliers_iqr,
-    fragility_index,
-    required_repetitions,
-    summarize,
-    welch_t_test,
-)
+from repro.core.stats import SummaryStatistics, confidence_interval, fragility_index, summarize
 from repro.core.experiment import (
     Experiment,
     ExperimentCell,
@@ -68,7 +58,7 @@ from repro.core.experiment import (
     ParameterGrid,
 )
 from repro.core.frame import PivotTable, ResultFrame, rows_for_run, run_metrics
-from repro.core.steady_state import SteadyStateDetector, detect_steady_state, trim_warmup
+from repro.core.steady_state import SteadyStateDetector, detect_steady_state
 from repro.core.timeline import HistogramTimeline, IntervalSeries
 from repro.core.benchmark import NanoBenchmark
 from repro.core.suite import NanoBenchmarkSuite, SuiteResult, default_suite
@@ -102,17 +92,11 @@ __all__ = [
     "EnvironmentNoise",
     "WarmupMode",
     "SummaryStatistics",
-    "bimodality_coefficient",
-    "bootstrap_ci",
     "confidence_interval",
-    "detect_outliers_iqr",
     "fragility_index",
-    "required_repetitions",
     "summarize",
-    "welch_t_test",
     "SteadyStateDetector",
     "detect_steady_state",
-    "trim_warmup",
     "HistogramTimeline",
     "IntervalSeries",
     "NanoBenchmark",

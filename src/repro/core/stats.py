@@ -9,27 +9,22 @@ reporting layer uses to surface those effects:
 
 * :func:`summarize` / :class:`SummaryStatistics` -- mean, spread, relative
   standard deviation (the right-hand axis of Figure 1), confidence intervals;
-* :func:`confidence_interval` / :func:`bootstrap_ci` -- parametric and
-  non-parametric intervals for small repetition counts;
-* :func:`bimodality_coefficient` -- a quick sample-based bi-modality check to
-  complement histogram mode counting;
+* :func:`confidence_interval` -- a Student-t interval for small repetition
+  counts;
 * :func:`fragility_index` -- how much a metric moves for a small change of a
   control parameter (the paper's "just a few megabytes" observation);
 * :func:`dynamic_range` -- how far apart the best and worst values of a
   sweep lie;
-* :func:`required_repetitions` -- how many repetitions are needed for a target
-  confidence-interval width;
-* :func:`welch_t_test` / :func:`overlapping_confidence_intervals` -- honest
-  comparison of two systems.
+* :func:`overlapping_confidence_intervals` -- honest comparison of two
+  systems.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import statistics
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -148,58 +143,6 @@ def confidence_interval(values: Sequence[float], confidence: float = 0.95) -> Tu
     return (mean - half, mean + half)
 
 
-def bootstrap_ci(
-    values: Sequence[float],
-    stat: Callable[[Sequence[float]], float] = statistics.fmean,
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: int = 0,
-) -> Tuple[float, float]:
-    """Percentile-bootstrap confidence interval for an arbitrary statistic."""
-    if not values:
-        raise ValueError("cannot bootstrap an empty sample")
-    if resamples <= 0:
-        raise ValueError("resamples must be positive")
-    if not (0.0 < confidence < 1.0):
-        raise ValueError("confidence must be in (0, 1)")
-    data = [float(v) for v in values]
-    rng = random.Random(seed)
-    n = len(data)
-    estimates = []
-    for _ in range(resamples):
-        resample = [data[rng.randrange(n)] for _ in range(n)]
-        estimates.append(stat(resample))
-    estimates.sort()
-    alpha = (1.0 - confidence) / 2.0
-    lo_index = max(0, int(math.floor(alpha * resamples)) - 1)
-    hi_index = min(resamples - 1, int(math.ceil((1.0 - alpha) * resamples)) - 1)
-    return (estimates[lo_index], estimates[hi_index])
-
-
-def coefficient_of_variation(values: Sequence[float]) -> float:
-    """Sample standard deviation divided by the mean (0 for constant samples)."""
-    if len(values) < 2:
-        return 0.0
-    mean = statistics.fmean(values)
-    if mean == 0:
-        return 0.0
-    return statistics.stdev(values) / abs(mean)
-
-
-def detect_outliers_iqr(values: Sequence[float], k: float = 1.5) -> List[int]:
-    """Indices of values outside ``[Q1 - k*IQR, Q3 + k*IQR]`` (Tukey's rule)."""
-    if len(values) < 4:
-        return []
-    data = sorted((float(v), i) for i, v in enumerate(values))
-    ordered = [v for v, _ in data]
-    q1 = _percentile(ordered, 25.0)
-    q3 = _percentile(ordered, 75.0)
-    iqr = q3 - q1
-    low = q1 - k * iqr
-    high = q3 + k * iqr
-    return sorted(i for v, i in data if v < low or v > high)
-
-
 def _percentile(sorted_values: Sequence[float], p: float) -> float:
     if not sorted_values:
         raise ValueError("empty sample")
@@ -219,32 +162,6 @@ def percentile(values: Sequence[float], p: float) -> float:
     if not (0.0 <= p <= 100.0):
         raise ValueError("p must be in [0, 100]")
     return _percentile(sorted(float(v) for v in values), p)
-
-
-def bimodality_coefficient(values: Sequence[float]) -> float:
-    """Sarle's bimodality coefficient (sample-size corrected).
-
-    Values above ~0.555 (the value for a uniform distribution) suggest the
-    sample may be bi- or multi-modal.  Used as a cheap cross-check of the
-    histogram-based mode counting when raw samples are available.
-    """
-    n = len(values)
-    if n < 4:
-        return 0.0
-    mean = statistics.fmean(values)
-    std = statistics.pstdev(values)
-    if std == 0:
-        return 0.0
-    skew = sum(((v - mean) / std) ** 3 for v in values) / n
-    kurt = sum(((v - mean) / std) ** 4 for v in values) / n - 3.0
-    numerator = skew ** 2 + 1.0
-    denominator = kurt + 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3))
-    if denominator == 0:
-        return 0.0
-    return numerator / denominator
-
-
-BIMODALITY_THRESHOLD = 5.0 / 9.0
 
 
 def fragility_index(
@@ -283,63 +200,6 @@ def dynamic_range(values: Sequence[float]) -> float:
     return max(positive) / min(positive)
 
 
-def required_repetitions(
-    values: Sequence[float],
-    target_relative_ci: float = 0.05,
-    confidence: float = 0.95,
-    max_repetitions: int = 1000,
-) -> int:
-    """Estimate how many repetitions are needed for a target CI half-width.
-
-    Given a pilot sample, returns the smallest ``n`` such that the predicted
-    ``t * s / sqrt(n)`` is at most ``target_relative_ci * mean``.
-    """
-    if len(values) < 2:
-        raise ValueError("need at least two pilot measurements")
-    if not (0.0 < target_relative_ci < 1.0):
-        raise ValueError("target_relative_ci must be in (0, 1)")
-    mean = statistics.fmean(values)
-    stddev = statistics.stdev(values)
-    if mean == 0 or stddev == 0:
-        return len(values)
-    target_halfwidth = abs(mean) * target_relative_ci
-    for n in range(2, max_repetitions + 1):
-        t = _t_quantile_975(n - 1) if confidence == 0.95 else _t_quantile_975(n - 1)
-        if t * stddev / math.sqrt(n) <= target_halfwidth:
-            return n
-    return max_repetitions
-
-
-def welch_t_test(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]:
-    """Welch's unequal-variance t-test; returns ``(t_statistic, p_value)``.
-
-    Falls back to a normal approximation for the p-value if scipy is missing.
-    """
-    if len(a) < 2 or len(b) < 2:
-        raise ValueError("both samples need at least two values")
-    mean_a, mean_b = statistics.fmean(a), statistics.fmean(b)
-    var_a, var_b = statistics.variance(a), statistics.variance(b)
-    na, nb = len(a), len(b)
-    se = math.sqrt(var_a / na + var_b / nb)
-    if se == 0:
-        return (0.0, 1.0) if mean_a == mean_b else (math.inf, 0.0)
-    t = (mean_a - mean_b) / se
-    dof_num = (var_a / na + var_b / nb) ** 2
-    dof_den = (var_a / na) ** 2 / (na - 1) + (var_b / nb) ** 2 / (nb - 1)
-    dof = dof_num / dof_den if dof_den > 0 else na + nb - 2
-    try:
-        from scipy import stats as scipy_stats
-
-        p = float(2.0 * scipy_stats.t.sf(abs(t), dof))
-    except Exception:  # pragma: no cover
-        p = 2.0 * (1.0 - _normal_cdf(abs(t)))
-    return (t, p)
-
-
-def _normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def overlapping_confidence_intervals(a: Sequence[float], b: Sequence[float], confidence: float = 0.95) -> bool:
     """True when the two samples' confidence intervals overlap.
 
@@ -350,32 +210,3 @@ def overlapping_confidence_intervals(a: Sequence[float], b: Sequence[float], con
     low_a, high_a = confidence_interval(a, confidence)
     low_b, high_b = confidence_interval(b, confidence)
     return not (high_a < low_b or high_b < low_a)
-
-
-def speedup_with_uncertainty(
-    baseline: Sequence[float], candidate: Sequence[float], resamples: int = 2000, seed: int = 0
-) -> Tuple[float, float, float]:
-    """Speedup of ``candidate`` over ``baseline`` with a bootstrap 95% interval.
-
-    Returns ``(speedup, low, high)`` where speedup is the ratio of means.
-    """
-    if not baseline or not candidate:
-        raise ValueError("both samples must be non-empty")
-    base_mean = statistics.fmean(baseline)
-    if base_mean == 0:
-        raise ValueError("baseline mean is zero")
-    point = statistics.fmean(candidate) / base_mean
-    rng = random.Random(seed)
-    ratios = []
-    nb, nc = len(baseline), len(candidate)
-    for _ in range(resamples):
-        b = statistics.fmean([baseline[rng.randrange(nb)] for _ in range(nb)])
-        c = statistics.fmean([candidate[rng.randrange(nc)] for _ in range(nc)])
-        if b != 0:
-            ratios.append(c / b)
-    ratios.sort()
-    if not ratios:
-        return (point, point, point)
-    lo = ratios[max(0, int(0.025 * len(ratios)) - 1)]
-    hi = ratios[min(len(ratios) - 1, int(math.ceil(0.975 * len(ratios))) - 1)]
-    return (point, lo, hi)

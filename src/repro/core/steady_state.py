@@ -1,11 +1,10 @@
-"""Warm-up trimming and steady-state detection.
+"""Steady-state detection.
 
 The paper's Figure 1 protocol runs each configuration for 20 minutes "but to
 ensure steady-state results we report only the last minute", and Figure 2
 shows why that choice is itself a decision that hides information.  This
 module provides the mechanical pieces:
 
-* :func:`trim_warmup` -- drop a fixed fraction or duration of the run;
 * :func:`detect_steady_state` -- find the first interval from which the
   throughput series is statistically stable (sliding-window coefficient of
   variation plus a trend test);
@@ -18,15 +17,6 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
-
-
-def trim_warmup(values: Sequence[float], fraction: float = 0.5) -> List[float]:
-    """Drop the first ``fraction`` of a series (crude but common practice)."""
-    if not (0.0 <= fraction < 1.0):
-        raise ValueError("fraction must be in [0, 1)")
-    values = list(values)
-    start = int(len(values) * fraction)
-    return values[start:]
 
 
 def _window_is_steady(window: Sequence[float], cov_threshold: float, slope_threshold: float) -> bool:
@@ -69,19 +59,6 @@ def detect_steady_state(
         if _window_is_steady(values[start : start + window], cov_threshold, slope_threshold):
             return start
     return None
-
-
-def steady_state_values(
-    series: Sequence[float],
-    window: int = 5,
-    cov_threshold: float = 0.10,
-    slope_threshold: float = 0.02,
-) -> List[float]:
-    """The portion of the series after steady state is reached (empty if never)."""
-    index = detect_steady_state(series, window, cov_threshold, slope_threshold)
-    if index is None:
-        return []
-    return [float(v) for v in series[index:]]
 
 
 @dataclass

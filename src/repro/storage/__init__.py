@@ -16,8 +16,6 @@ identifies as dominating benchmark results:
   policies (LRU, CLOCK, ARC, 2Q) and dirty-page writeback.
 * :mod:`repro.storage.readahead` -- sequential-stream detection and readahead
   window management.
-* :mod:`repro.storage.latency` -- small latency/noise distributions used by
-  the device and cache models.
 * :mod:`repro.storage.config` -- testbed descriptions, including the paper's
   512 MB / single-SATA-disk machine.
 
@@ -31,8 +29,6 @@ from repro.storage.config import (
     TestbedConfig,
     paper_testbed,
     scaled_testbed,
-    ssd_ftl_testbed,
-    ssd_testbed,
 )
 from repro.storage.flash import (
     FlashGeometry,
@@ -41,12 +37,7 @@ from repro.storage.flash import (
     default_flash_geometry,
     precondition_ssd,
 )
-from repro.storage.cache import (
-    CachePolicy,
-    CacheStats,
-    PageCache,
-    make_cache,
-)
+from repro.storage.cache import CachePolicy, CacheStats, PageCache
 from repro.storage.device import (
     SCHEDULER_REGISTRY,
     BlockDevice,
@@ -63,13 +54,6 @@ from repro.storage.disk import (
     SolidStateDisk,
     RamDisk,
 )
-from repro.storage.latency import (
-    ConstantLatency,
-    LatencyModel,
-    LogNormalLatency,
-    NormalLatency,
-    UniformLatency,
-)
 from repro.storage.readahead import ReadaheadPolicy, ReadaheadState
 
 __all__ = [
@@ -80,8 +64,6 @@ __all__ = [
     "TestbedConfig",
     "paper_testbed",
     "scaled_testbed",
-    "ssd_ftl_testbed",
-    "ssd_testbed",
     "FlashGeometry",
     "FlashTranslationLayer",
     "PreconditionReport",
@@ -90,7 +72,6 @@ __all__ = [
     "CachePolicy",
     "CacheStats",
     "PageCache",
-    "make_cache",
     "BlockDevice",
     "IORequest",
     "IOScheduler",
@@ -102,11 +83,6 @@ __all__ = [
     "MechanicalDisk",
     "SolidStateDisk",
     "RamDisk",
-    "ConstantLatency",
-    "LatencyModel",
-    "LogNormalLatency",
-    "NormalLatency",
-    "UniformLatency",
     "ReadaheadPolicy",
     "ReadaheadState",
 ]

@@ -582,14 +582,3 @@ class PageCache:
             f"PageCache({self.policy_name.value}, {mb:.0f}MiB, "
             f"{self._resident_count}/{self.capacity_pages} pages)"
         )
-
-
-def make_cache(
-    capacity_bytes: int,
-    page_size: int = 4096,
-    policy: CachePolicy = CachePolicy.LRU,
-) -> PageCache:
-    """Convenience constructor taking a byte capacity instead of a page count."""
-    if capacity_bytes < 0:
-        raise ValueError("capacity_bytes must be non-negative")
-    return PageCache(capacity_bytes // page_size, policy=policy, page_size=page_size)

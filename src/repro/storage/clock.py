@@ -78,23 +78,3 @@ class VirtualClock:
     # ------------------------------------------------------------------ misc
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"VirtualClock(now={self._now_ns / NS_PER_SEC:.6f}s)"
-
-
-def ns_to_seconds(ns: float) -> float:
-    """Convert nanoseconds to seconds."""
-    return ns / NS_PER_SEC
-
-
-def seconds_to_ns(seconds: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return seconds * NS_PER_SEC
-
-
-def ms_to_ns(ms: float) -> float:
-    """Convert milliseconds to nanoseconds."""
-    return ms * NS_PER_MS
-
-
-def us_to_ns(us: float) -> float:
-    """Convert microseconds to nanoseconds."""
-    return us * NS_PER_US

@@ -257,30 +257,3 @@ def scaled_testbed(scale: float = 0.125, name: Optional[str] = None) -> TestbedC
     )
     config.validate()
     return config
-
-
-def ssd_testbed() -> TestbedConfig:
-    """A modern-ish variant of the testbed with an SSD instead of the SATA disk.
-
-    Uses the legacy stateless ``ssd`` model.  Used by examples to show how
-    the transition region (and therefore the fragility) changes when the
-    device latency gap narrows.
-    """
-    config = replace(paper_testbed(), name="ssd-testbed", device_kind="ssd")
-    config.validate()
-    return config
-
-
-def ssd_ftl_testbed(steady: bool = False) -> TestbedConfig:
-    """The paper testbed over the stateful FTL SSD model.
-
-    ``steady=True`` starts every stack from a deterministically
-    preconditioned device (see
-    :func:`repro.storage.flash.precondition_ssd`); the default is
-    fresh-out-of-box.  The two variants are the endpoints of the
-    ``device=ssd-ftl-fresh,ssd-ftl-steady`` experiment axis.
-    """
-    kind = "ssd-ftl-steady" if steady else "ssd-ftl-fresh"
-    config = replace(paper_testbed(), name=f"{kind}-testbed", device_kind=kind)
-    config.validate()
-    return config

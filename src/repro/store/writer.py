@@ -31,7 +31,6 @@ from repro.core.persistence import canonical_run_payload, load_run_result, run_f
 from repro.store.format import (
     DEFAULT_BLOCK_BYTES,
     DEFAULT_LEVEL,
-    FOOTER_FINGERPRINTED,
     MAGIC_END,
     BlockEntry,
     StoreConflictError,

@@ -11,13 +11,11 @@ unclear.  This subpackage provides:
 * micro/nano workloads that isolate single dimensions
   (:mod:`repro.workloads.micro`),
 * Filebench-like macro personalities (:mod:`repro.workloads.personalities`),
-* PostMark-, compile- and IOmeter-like generators
-  (:mod:`repro.workloads.postmark`, :mod:`repro.workloads.compilebench`,
-  :mod:`repro.workloads.iomix`),
 * trace capture/replay (:mod:`repro.workloads.trace`), and
 * ``WORKLOAD_REGISTRY`` (:mod:`repro.workloads.registry`): the name->factory
   resolver behind the experiment grid's ``workload`` axis, mirroring
-  ``FS_REGISTRY``.
+  ``FS_REGISTRY``, and home of the PostMark transaction mix
+  (:func:`~repro.workloads.registry.postmark_workload`).
 """
 
 from repro.workloads.fileset import FilesetSpec, MaterializedFileset
@@ -37,16 +35,7 @@ from repro.workloads.personalities import (
     varmail_personality,
     webserver_personality,
 )
-from repro.workloads.postmark import PostmarkConfig, PostmarkResult, run_postmark
-from repro.workloads.compilebench import CompileBenchConfig, compile_workload
-from repro.workloads.iomix import IomixProfile, run_iomix, STANDARD_PROFILES
-from repro.workloads.randomdist import (
-    ChoiceDistribution,
-    FixedValue,
-    LogNormalSizes,
-    UniformSizes,
-    ZipfSelector,
-)
+from repro.workloads.randomdist import FixedValue, LogNormalSizes, UniformSizes
 from repro.workloads.spec import (
     FileSelector,
     FlowOp,
@@ -57,18 +46,12 @@ from repro.workloads.spec import (
     WorkloadSpec,
 )
 from repro.workloads.trace import TraceRecord, TraceRecorder, TraceReplayer, load_trace, save_trace
-from repro.workloads.registry import (
-    WORKLOAD_REGISTRY,
-    postmark_workload,
-    register_workload,
-    registered_workloads,
-)
+from repro.workloads.registry import WORKLOAD_REGISTRY, postmark_workload, register_workload
 
 __all__ = [
     "WORKLOAD_REGISTRY",
     "postmark_workload",
     "register_workload",
-    "registered_workloads",
     "FilesetSpec",
     "MaterializedFileset",
     "append_workload",
@@ -83,19 +66,9 @@ __all__ = [
     "oltp_personality",
     "varmail_personality",
     "webserver_personality",
-    "PostmarkConfig",
-    "PostmarkResult",
-    "run_postmark",
-    "CompileBenchConfig",
-    "compile_workload",
-    "IomixProfile",
-    "run_iomix",
-    "STANDARD_PROFILES",
-    "ChoiceDistribution",
     "FixedValue",
     "LogNormalSizes",
     "UniformSizes",
-    "ZipfSelector",
     "FileSelector",
     "FlowOp",
     "OffsetMode",

@@ -1,9 +1,9 @@
 """Random distributions used by workload generators.
 
-File sizes, file popularity and I/O offsets in real workloads are rarely
-uniform; these small distribution classes let workload specifications say so
-explicitly.  Every distribution draws from a caller-supplied
-``random.Random`` so whole runs are reproducible from one seed.
+File sizes in real workloads are rarely uniform; these small distribution
+classes let workload specifications say so explicitly.  Every distribution
+draws from a caller-supplied ``random.Random`` so whole runs are
+reproducible from one seed.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from abc import ABC, abstractmethod
-from typing import List, Sequence
 
 
 class SizeDistribution(ABC):
@@ -86,98 +85,3 @@ class LogNormalSizes(SizeDistribution):
 
     def __repr__(self) -> str:
         return f"LogNormalSizes(median={self.median}, sigma={self.sigma})"
-
-
-class Selector(ABC):
-    """A distribution over indices ``[0, n)`` used to pick files."""
-
-    @abstractmethod
-    def pick(self, n: int, rng: random.Random) -> int:
-        """Pick an index in ``[0, n)``."""
-
-
-class UniformSelector(Selector):
-    """Every item equally likely."""
-
-    def pick(self, n: int, rng: random.Random) -> int:
-        if n <= 0:
-            raise ValueError("cannot pick from an empty set")
-        return rng.randrange(n)
-
-    def __repr__(self) -> str:
-        return "UniformSelector()"
-
-
-class ZipfSelector(Selector):
-    """Zipf-distributed popularity: item 0 is the most popular.
-
-    Uses the standard rejection-free inversion over the harmonic partial sums,
-    precomputed lazily for each distinct ``n``.
-    """
-
-    def __init__(self, alpha: float = 1.0) -> None:
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        self.alpha = float(alpha)
-        self._cdf_cache: dict = {}
-
-    def _cdf(self, n: int) -> List[float]:
-        cached = self._cdf_cache.get(n)
-        if cached is not None:
-            return cached
-        weights = [1.0 / (i + 1) ** self.alpha for i in range(n)]
-        total = sum(weights)
-        acc = 0.0
-        cdf = []
-        for weight in weights:
-            acc += weight / total
-            cdf.append(acc)
-        self._cdf_cache[n] = cdf
-        return cdf
-
-    def pick(self, n: int, rng: random.Random) -> int:
-        if n <= 0:
-            raise ValueError("cannot pick from an empty set")
-        cdf = self._cdf(n)
-        u = rng.random()
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def __repr__(self) -> str:
-        return f"ZipfSelector(alpha={self.alpha})"
-
-
-class ChoiceDistribution:
-    """A weighted choice over arbitrary items (used for op mixes)."""
-
-    def __init__(self, items: Sequence, weights: Sequence[float]) -> None:
-        if len(items) != len(weights) or not items:
-            raise ValueError("items and weights must be equal-length and non-empty")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
-        total = float(sum(weights))
-        if total <= 0:
-            raise ValueError("weights must not all be zero")
-        self.items = list(items)
-        self._cumulative: List[float] = []
-        acc = 0.0
-        for weight in weights:
-            acc += weight / total
-            self._cumulative.append(acc)
-
-    def pick(self, rng: random.Random):
-        """Draw one item according to the weights."""
-        u = rng.random()
-        for cum, item in zip(self._cumulative, self.items):
-            if u <= cum:
-                return item
-        return self.items[-1]
-
-    def __repr__(self) -> str:
-        return f"ChoiceDistribution({len(self.items)} items)"

@@ -19,7 +19,7 @@ not enough.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.workloads.fileset import FilesetSpec
 from repro.workloads.micro import (
@@ -63,11 +63,6 @@ def register_workload(name: str, factory: Callable[..., WorkloadSpec]) -> None:
     WORKLOAD_REGISTRY[name] = factory
 
 
-def registered_workloads() -> List[str]:
-    """Registered workload names, in registration order."""
-    return list(WORKLOAD_REGISTRY)
-
-
 def postmark_workload(
     file_count: int = 500,
     min_size: int = 512,
@@ -78,11 +73,13 @@ def postmark_workload(
 ) -> WorkloadSpec:
     """A PostMark-style transaction mix as a declarative workload spec.
 
-    The classic PostMark loop (``repro.workloads.postmark.run_postmark``)
-    drives a stack imperatively; this spec expresses the same transaction
-    blend -- create/delete churn and read/append traffic over a pool of
-    small files -- as flowops, so it can ride the measurement protocol,
-    the parallel executor and the experiment grid like every other workload.
+    PostMark (Katcher, 1997) is the standard benchmark the paper's survey
+    finds most often in file system papers, reported as one bare
+    "transactions per second".  This spec expresses its transaction blend
+    -- create/delete churn and read/append traffic over a pool of small
+    files -- as flowops, so it rides the measurement protocol, the parallel
+    executor and the experiment grid like every other workload, and is
+    reported as a distribution over repetitions rather than one number.
     """
     return WorkloadSpec(
         name="postmark",

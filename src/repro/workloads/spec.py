@@ -22,7 +22,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.fs.stack import StorageStack
 from repro.workloads.fileset import FilesetSpec, MaterializedFileset
-from repro.workloads.randomdist import Selector, UniformSelector
 
 
 class OpType(str, Enum):
@@ -204,7 +203,6 @@ class WorkloadEngine:
         self.on_op = on_op
         self.fileset: Optional[MaterializedFileset] = None
         self._threads = [_ThreadState(i) for i in range(spec.threads)]
-        self._selector: Selector = UniformSelector()
         self.ops_executed = 0
         self._setup_done = False
         self._step_cycle = None
@@ -236,7 +234,7 @@ class WorkloadEngine:
             index = thread.next_file % count
             thread.next_file += self.spec.threads
             return index
-        return self._selector.pick(count, self.rng)
+        return self.rng.randrange(count)
 
     def _pick_offset(self, thread: _ThreadState, flowop: FlowOp, file_index: int) -> int:
         size = max(self.fileset.size_of(file_index), flowop.iosize)

@@ -197,7 +197,9 @@ class TraceReplayer:
                     latency = 0.0
             elif op == OpType.DELETE.value:
                 latency = vfs.unlink(record.path) if vfs.fs.exists(record.path) else 0.0
-                self._fds.pop(record.path, None)
+                fd = self._fds.pop(record.path, None)
+                if fd is not None:
+                    vfs.close_uncharged(fd)
             elif op == OpType.STAT.value:
                 latency = vfs.stat(record.path) if vfs.fs.exists(record.path) else 0.0
             elif op == OpType.FSYNC.value:

@@ -2,22 +2,16 @@
 
 import pytest
 
-from repro.analysis.comparison import compare_repetition_sets, compare_sweeps
+from repro.analysis.comparison import compare_repetition_sets
 from repro.analysis.fragility import assess_repetitions, assess_sweep
 from repro.analysis.regimes import (
     Regime,
     classify_repetitions,
     classify_run,
     classify_sweep,
-    per_regime_summary,
     regime_ranges,
 )
-from repro.analysis.transition import (
-    TransitionRegion,
-    expected_transition_bytes,
-    find_transition,
-    refine_transition,
-)
+from repro.analysis.transition import TransitionRegion, find_transition, refine_transition
 from repro.core.results import RepetitionSet
 from tests.test_results_and_runner import make_run
 
@@ -69,10 +63,6 @@ class TestRegimes:
         assert ranges[0][0] is Regime.MEMORY_BOUND
         assert ranges[-1][0] is Regime.IO_BOUND
 
-    def test_per_regime_summary(self):
-        summary = per_regime_summary(figure1_like_sweep())
-        assert summary[Regime.MEMORY_BOUND]["mean_ops_s"] > summary[Regime.IO_BOUND]["mean_ops_s"]
-
     def test_empty_repetitions_rejected(self):
         with pytest.raises(ValueError):
             classify_repetitions(RepetitionSet("empty"))
@@ -117,12 +107,6 @@ class TestTransition:
         region = TransitionRegion(0.0, 10000.0, 9000.0, 500.0)
         _, measurements = refine_transition(region, measure, target_width=0.001, max_measurements=5)
         assert measurements == 5
-
-    def test_expected_transition_bytes(self):
-        low, high = expected_transition_bytes(410 * 1024 * 1024)
-        assert low < 410 * 1024 * 1024 < high
-        with pytest.raises(ValueError):
-            expected_transition_bytes(0)
 
     def test_transition_describe(self):
         region = TransitionRegion(100.0, 200.0, 1000.0, 100.0)
@@ -187,19 +171,3 @@ class TestComparison:
         assert verdict.winner == "xfs"
         assert verdict.speedup > 5
         assert "faster" in verdict.format()
-
-    def test_sweep_comparison_finds_crossover(self):
-        # A wins at small sizes, B wins at large sizes.
-        sweep_a = {1.0: repetitions_at(1000.0, 1.0), 2.0: repetitions_at(300.0, 0.5)}
-        sweep_b = {1.0: repetitions_at(500.0, 1.0), 2.0: repetitions_at(800.0, 0.5)}
-        comparison = compare_sweeps("A", sweep_a, "B", sweep_b)
-        assert comparison.wins("A") == 1
-        assert comparison.wins("B") == 1
-        assert comparison.crossover_parameters() == [2.0]
-        assert "single-number comparison would hide this" in comparison.summary()
-
-    def test_sweep_comparison_only_common_points(self):
-        sweep_a = {1.0: repetitions_at(1000.0, 1.0), 2.0: repetitions_at(900.0, 1.0)}
-        sweep_b = {2.0: repetitions_at(700.0, 1.0)}
-        comparison = compare_sweeps("A", sweep_a, "B", sweep_b)
-        assert comparison.parameters() == [2.0]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage.cache import CachePolicy, PageCache, make_cache
+from repro.storage.cache import CachePolicy, PageCache
 
 
 def fill(cache: PageCache, count: int, inode: int = 1):
@@ -64,9 +64,8 @@ class TestPageCacheBasics:
         with pytest.raises(ValueError):
             PageCache(capacity_pages=-1)
 
-    def test_make_cache_converts_bytes_to_pages(self):
-        cache = make_cache(1024 * 1024, page_size=4096)
-        assert cache.capacity_pages == 256
+    def test_capacity_bytes_counts_whole_pages(self):
+        cache = PageCache(capacity_pages=256, page_size=4096)
         assert cache.capacity_bytes == 1024 * 1024
 
     def test_unknown_policy_rejected(self):

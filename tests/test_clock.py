@@ -2,16 +2,7 @@
 
 import pytest
 
-from repro.storage.clock import (
-    NS_PER_MS,
-    NS_PER_SEC,
-    NS_PER_US,
-    VirtualClock,
-    ms_to_ns,
-    ns_to_seconds,
-    seconds_to_ns,
-    us_to_ns,
-)
+from repro.storage.clock import NS_PER_MS, NS_PER_SEC, NS_PER_US, VirtualClock
 
 
 class TestVirtualClock:
@@ -75,14 +66,5 @@ class TestVirtualClock:
 
 
 class TestConversions:
-    def test_seconds_round_trip(self):
-        assert ns_to_seconds(seconds_to_ns(3.25)) == pytest.approx(3.25)
-
-    def test_ms_to_ns(self):
-        assert ms_to_ns(2.0) == 2 * NS_PER_MS
-
-    def test_us_to_ns(self):
-        assert us_to_ns(7.0) == 7 * NS_PER_US
-
     def test_constants_consistent(self):
         assert NS_PER_SEC == 1000 * NS_PER_MS == 1_000_000 * NS_PER_US

@@ -78,6 +78,10 @@ class TestFastExamplesRun:
         assert "ssd-ftl-fresh" in output
         assert "ssd-ftl-steady" in output
         assert "write amplification" in output
+        # The run reaches the device: every qualitative check of the
+        # fresh-vs-steady experiment holds.
+        assert output.count("[PASS]") == 3
+        assert "[FAIL]" not in output
 
     def test_quickstart_runs_quick(self, capsys):
         module = load_example("quickstart.py")

@@ -13,12 +13,7 @@ import pytest
 from repro.core.runner import BenchmarkConfig, WarmupMode, run_single_repetition
 from repro.fs.stack import build_stack
 from repro.storage import config as storage_config
-from repro.storage.config import (
-    DEVICE_REGISTRY,
-    scaled_testbed,
-    ssd_ftl_testbed,
-    ssd_testbed,
-)
+from repro.storage.config import DEVICE_REGISTRY, paper_testbed, scaled_testbed
 from repro.storage.device import BlockDevice, IORequest, IOScheduler
 from repro.storage.disk import RamDisk, SolidStateDisk
 from repro.storage.flash import (
@@ -388,12 +383,11 @@ class TestDeviceRegistry:
         assert fresh.utilization() == 0.0
 
     def test_ssd_testbeds_validate(self):
-        assert ssd_testbed().device_kind == "ssd"
-        assert isinstance(ssd_testbed().build_device_model(), SolidStateDisk)
-        assert ssd_ftl_testbed().device_kind == "ssd-ftl-fresh"
-        assert ssd_ftl_testbed(steady=True).device_kind == "ssd-ftl-steady"
-        for steady in (False, True):
-            ssd_ftl_testbed(steady=steady).validate()
+        ssd = replace(paper_testbed(), device_kind="ssd")
+        ssd.validate()
+        assert isinstance(ssd.build_device_model(), SolidStateDisk)
+        for kind in ("ssd-ftl-fresh", "ssd-ftl-steady"):
+            replace(paper_testbed(), device_kind=kind).validate()
 
     def test_unknown_kind_still_rejected(self):
         with pytest.raises(ValueError):

@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from repro.workloads.randomdist import (
-    ChoiceDistribution,
-    FixedValue,
-    LogNormalSizes,
-    UniformSizes,
-    UniformSelector,
-    ZipfSelector,
-)
+from repro.workloads.randomdist import FixedValue, LogNormalSizes, UniformSizes
 
 
 @pytest.fixture
@@ -51,47 +44,3 @@ class TestSizeDistributions:
     def test_lognormal_invalid(self):
         with pytest.raises(ValueError):
             LogNormalSizes(median=0)
-
-
-class TestSelectors:
-    def test_uniform_selector_covers_range(self, rng):
-        selector = UniformSelector()
-        picks = {selector.pick(10, rng) for _ in range(500)}
-        assert picks == set(range(10))
-
-    def test_uniform_selector_empty_rejected(self, rng):
-        with pytest.raises(ValueError):
-            UniformSelector().pick(0, rng)
-
-    def test_zipf_prefers_low_indices(self, rng):
-        selector = ZipfSelector(alpha=1.2)
-        picks = [selector.pick(100, rng) for _ in range(3000)]
-        first_ten = sum(1 for p in picks if p < 10)
-        assert first_ten > len(picks) * 0.5
-
-    def test_zipf_all_indices_possible(self, rng):
-        selector = ZipfSelector(alpha=0.5)
-        picks = {selector.pick(5, rng) for _ in range(2000)}
-        assert picks == set(range(5))
-
-    def test_zipf_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            ZipfSelector(alpha=0)
-
-
-class TestChoiceDistribution:
-    def test_weights_respected(self, rng):
-        dist = ChoiceDistribution(["a", "b"], [0.9, 0.1])
-        picks = [dist.pick(rng) for _ in range(2000)]
-        assert picks.count("a") > picks.count("b") * 3
-
-    def test_single_item(self, rng):
-        assert ChoiceDistribution(["only"], [1.0]).pick(rng) == "only"
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            ChoiceDistribution([], [])
-        with pytest.raises(ValueError):
-            ChoiceDistribution(["a"], [0.0])
-        with pytest.raises(ValueError):
-            ChoiceDistribution(["a", "b"], [1.0])

@@ -1,13 +1,8 @@
-"""Tests for warm-up trimming and steady-state detection."""
+"""Tests for steady-state detection."""
 
 import pytest
 
-from repro.core.steady_state import (
-    SteadyStateDetector,
-    detect_steady_state,
-    steady_state_values,
-    trim_warmup,
-)
+from repro.core.steady_state import SteadyStateDetector, detect_steady_state
 
 
 def warmup_then_flat(warmup: int = 10, flat: int = 20) -> list:
@@ -15,19 +10,6 @@ def warmup_then_flat(warmup: int = 10, flat: int = 20) -> list:
     rising = [100.0 * (i + 1) for i in range(warmup)]
     plateau = [100.0 * warmup + (i % 3) for i in range(flat)]
     return rising + plateau
-
-
-class TestTrimWarmup:
-    def test_drops_leading_fraction(self):
-        values = list(range(10))
-        assert trim_warmup(values, 0.5) == [5, 6, 7, 8, 9]
-
-    def test_zero_fraction_keeps_everything(self):
-        assert trim_warmup([1, 2, 3], 0.0) == [1, 2, 3]
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            trim_warmup([1], 1.0)
 
 
 class TestDetectSteadyState:
@@ -50,15 +32,6 @@ class TestDetectSteadyState:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             detect_steady_state([1.0, 2.0, 3.0], window=1)
-
-    def test_steady_state_values_returns_tail(self):
-        series = warmup_then_flat()
-        tail = steady_state_values(series, window=5)
-        assert tail
-        assert tail == series[detect_steady_state(series, window=5):]
-
-    def test_steady_state_values_empty_when_never_steady(self):
-        assert steady_state_values([float(2 ** i) for i in range(12)], window=4) == []
 
     def test_all_zero_series_is_steady(self):
         assert detect_steady_state([0.0] * 8, window=4) == 0

@@ -1,15 +1,12 @@
 """Tests for testbed configuration."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.storage import config as storage_config
 from repro.storage.cache import CachePolicy
-from repro.storage.config import (
-    CpuCosts,
-    paper_testbed,
-    scaled_testbed,
-    ssd_testbed,
-)
+from repro.storage.config import CpuCosts, paper_testbed, scaled_testbed
 from repro.storage.disk import MechanicalDisk, RamDisk, SolidStateDisk
 
 MiB = 1024 * 1024
@@ -77,7 +74,8 @@ class TestValidation:
 class TestBuilders:
     def test_build_device_models(self):
         assert isinstance(paper_testbed().build_device_model(), MechanicalDisk)
-        assert isinstance(ssd_testbed().build_device_model(), SolidStateDisk)
+        ssd = replace(paper_testbed(), device_kind="ssd")
+        assert isinstance(ssd.build_device_model(), SolidStateDisk)
         ram_config = storage_config.TestbedConfig(device_kind="ramdisk")
         assert isinstance(ram_config.build_device_model(), RamDisk)
 

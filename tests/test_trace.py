@@ -95,6 +95,22 @@ class TestReplay:
         assert len(latencies) == len(records)
         assert not stack.vfs.fs.exists("/traced/file0")
 
+    def test_delete_closes_the_descriptor_of_the_deleted_path(self):
+        """Every descriptor the VFS holds open is one the replayer tracks: a
+        deleted path's descriptor is closed, not left pinning its inode."""
+        stack = tiny_stack()
+        records = []
+        for index in range(50):
+            path = f"/churn/f{index % 5}"
+            records += [
+                TraceRecord(0.0, "create", path),
+                TraceRecord(0.0, "write", path, 0, 4 * KiB),
+                TraceRecord(0.0, "delete", path),
+            ]
+        replayer = TraceReplayer(stack)
+        replayer.replay(records)
+        assert len(stack.vfs._open_files) == len(replayer._fds) == 0
+
     def test_replay_honouring_timing_is_slower(self):
         records = [
             TraceRecord(float(i) * 50_000_000, "read", "/t/file", 0, 4 * KiB) for i in range(20)

@@ -115,6 +115,20 @@ class TestEngineExecution:
         second = engine.setup()
         assert first is second
 
+    def test_random_file_pick_covers_the_fileset_and_rejects_an_empty_one(self):
+        spec = simple_spec(
+            fileset=FilesetSpec(name="pool", file_count=10, size_distribution=FixedValue(4 * KiB)),
+            flowops=[FlowOp(op=OpType.READ, iosize=4 * KiB, file_selector=FileSelector.RANDOM)],
+        )
+        engine = WorkloadEngine(make_stack(), spec, seed=1)
+        engine.setup()
+        picked = {engine._pick_file(engine._threads[0], spec.flowops[0]) for _ in range(500)}
+        assert picked == set(range(10))
+
+        engine.fileset.paths.clear()
+        with pytest.raises(RuntimeError, match="empty fileset"):
+            engine._pick_file(engine._threads[0], spec.flowops[0])
+
 
 class TestOperationTypes:
     def test_write_workload_dirties_cache(self):
@@ -210,6 +224,35 @@ class TestOperationTypes:
         WorkloadEngine(stack, spec, seed=1).run(max_ops=10)
         assert stack.clock.now_ns >= 50_000_000.0
         assert stack.vfs.stats.reads == 0
+
+    def test_think_time_hides_the_file_system(self):
+        """The paper's point about kernel builds: CPU think time after each
+        read means the device accounts for less of the run, so the total
+        runtime is dominated by 'compilation'."""
+
+        def device_share(think_ns):
+            stack = make_stack()
+            spec = simple_spec(
+                fileset=FilesetSpec(
+                    name="srctree",
+                    file_count=40,
+                    size_distribution=FixedValue(8 * KiB),
+                    directories=4,
+                ),
+                flowops=[
+                    FlowOp(op=OpType.STAT, file_selector=FileSelector.ROUND_ROBIN),
+                    FlowOp(
+                        op=OpType.READ_WHOLE_FILE,
+                        iosize=64 * KiB,
+                        file_selector=FileSelector.ROUND_ROBIN,
+                        think_ns=think_ns,
+                    ),
+                ],
+            )
+            WorkloadEngine(stack, spec, seed=2).run(max_ops=120)
+            return stack.device.stats.total_service_ns / stack.clock.now_ns
+
+        assert device_share(20_000_000.0) < device_share(100_000.0)
 
 
 class TestMultiThreaded:

@@ -1,33 +1,25 @@
-"""Tests for micro workloads, personalities, postmark, compile and iomix."""
+"""Tests for the micro workloads and the macro personalities."""
 
 import pytest
 
 from repro.fs.stack import build_stack
 from repro.storage.config import scaled_testbed
 from repro.workloads import (
-    PostmarkConfig,
-    STANDARD_PROFILES,
     append_workload,
-    compile_workload,
     create_delete_workload,
     fileserver_personality,
     metadata_mix_workload,
     oltp_personality,
     random_read_workload,
     random_write_workload,
-    run_iomix,
-    run_postmark,
     sequential_read_workload,
     sequential_write_workload,
     stat_workload,
     varmail_personality,
     webserver_personality,
 )
-from repro.workloads.compilebench import CompileBenchConfig
-from repro.workloads.iomix import IomixProfile
 from repro.workloads.spec import WorkloadEngine
 
-KiB = 1024
 MiB = 1024 * 1024
 
 
@@ -103,92 +95,3 @@ class TestSequentialVsRandom:
             return stack.clock.now_ns
 
         assert total_time(sequential_read_workload) < total_time(random_read_workload)
-
-
-class TestPostmark:
-    def test_postmark_runs_and_reports(self):
-        stack = tiny_stack("ext3")
-        result = run_postmark(stack, PostmarkConfig(initial_files=30, transactions=100, seed=1))
-        assert result.transactions_per_second > 0
-        assert result.created + result.deleted > 0
-        assert result.duration_s > 0
-        assert set(result.op_latencies_ns) == {"create", "delete", "read", "append"}
-        assert "PostMark" in result.summary()
-
-    def test_postmark_deletes_everything_at_the_end(self):
-        stack = tiny_stack()
-        run_postmark(stack, PostmarkConfig(initial_files=20, transactions=50, seed=1))
-        assert not stack.vfs.fs.list_directory("/postmark") or all(
-            entry.inode_type.value == "directory"
-            for entry in stack.vfs.fs.list_directory("/postmark")
-        )
-
-    def test_postmark_config_validation(self):
-        with pytest.raises(ValueError):
-            PostmarkConfig(initial_files=0).validate()
-        with pytest.raises(ValueError):
-            PostmarkConfig(min_size=0).validate()
-        with pytest.raises(ValueError):
-            PostmarkConfig(read_bias=2.0).validate()
-
-    def test_postmark_callback_invoked(self):
-        stack = tiny_stack()
-        records = []
-        run_postmark(stack, PostmarkConfig(initial_files=10, transactions=30, seed=1), on_op=records.append)
-        assert len(records) >= 25
-
-
-class TestCompileWorkload:
-    def test_compile_spec_valid(self):
-        spec = compile_workload(CompileBenchConfig(source_files=50, directories=5, threads=2))
-        spec.validate()
-
-    def test_cpu_bound_configuration_hides_the_file_system(self):
-        """The paper's point about kernel builds: more CPU think time means the
-        device matters less, so total runtime is dominated by 'compilation'."""
-
-        def runtime(cpu_us):
-            stack = tiny_stack()
-            config = CompileBenchConfig(source_files=40, directories=4, threads=1, cpu_think_us=cpu_us)
-            WorkloadEngine(stack, compile_workload(config), seed=2).run(max_ops=120)
-            return stack.clock.now_s, stack.device.stats.total_service_ns / 1e9
-
-        total_fast, device_fast = runtime(100.0)
-        total_slow, device_slow = runtime(20_000.0)
-        device_fraction_fast = device_fast / total_fast
-        device_fraction_slow = device_slow / total_slow
-        assert device_fraction_slow < device_fraction_fast
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            CompileBenchConfig(source_files=0).validate()
-
-
-class TestIomix:
-    def test_standard_profiles_are_valid(self):
-        for profile in STANDARD_PROFILES:
-            profile.validate()
-        assert len(STANDARD_PROFILES) >= 5
-
-    def test_sequential_bandwidth_beats_random(self):
-        stack = tiny_stack()
-        sequential = run_iomix(stack.device, IomixProfile("seq", 64 * KiB, 1.0, 0.0), requests=300)
-        random_profile = run_iomix(stack.device, IomixProfile("rand", 64 * KiB, 1.0, 1.0), requests=300)
-        assert sequential.bandwidth_mb_s > random_profile.bandwidth_mb_s
-
-    def test_result_fields_consistent(self):
-        stack = tiny_stack()
-        result = run_iomix(stack.device, STANDARD_PROFILES[0], requests=100)
-        assert result.requests == 100
-        assert len(result.latencies_ns) == 100
-        assert result.total_bytes == 100 * STANDARD_PROFILES[0].request_bytes
-        assert result.iops == pytest.approx(100 / result.duration_s)
-
-    def test_invalid_profile_rejected(self):
-        with pytest.raises(ValueError):
-            IomixProfile("bad", request_bytes=0).validate()
-        with pytest.raises(ValueError):
-            IomixProfile("bad", read_fraction=2.0).validate()
-        stack = tiny_stack()
-        with pytest.raises(ValueError):
-            run_iomix(stack.device, STANDARD_PROFILES[0], requests=0)
