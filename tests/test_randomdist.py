@@ -4,7 +4,11 @@ import random
 
 import pytest
 
+from repro.fs.stack import build_stack
+from repro.storage.config import scaled_testbed
+from repro.workloads.fileset import FilesetSpec
 from repro.workloads.randomdist import FixedValue, LogNormalSizes, UniformSizes
+from repro.workloads.spec import FileSelector, FlowOp, OpType, WorkloadEngine, WorkloadSpec
 
 
 @pytest.fixture
@@ -44,3 +48,31 @@ class TestSizeDistributions:
     def test_lognormal_invalid(self):
         with pytest.raises(ValueError):
             LogNormalSizes(median=0)
+
+
+class TestSelectors:
+    """A RANDOM file selector picks uniformly over the fileset (WorkloadEngine._pick_file)."""
+
+    @staticmethod
+    def random_pick_engine(file_count=10):
+        flowop = FlowOp(op=OpType.READ, iosize=4096, file_selector=FileSelector.RANDOM)
+        spec = WorkloadSpec(
+            name="random-pick",
+            flowops=[flowop],
+            fileset=FilesetSpec(name="pool", file_count=file_count, size_distribution=FixedValue(4096)),
+        )
+        stack = build_stack("ext2", testbed=scaled_testbed(1.0 / 16.0), seed=13)
+        engine = WorkloadEngine(stack, spec, seed=1)
+        engine.setup()
+        return engine, flowop
+
+    def test_uniform_selector_covers_range(self):
+        engine, flowop = self.random_pick_engine()
+        picks = {engine._pick_file(engine._threads[0], flowop) for _ in range(500)}
+        assert picks == set(range(10))
+
+    def test_uniform_selector_empty_rejected(self):
+        engine, flowop = self.random_pick_engine()
+        engine.fileset.paths.clear()
+        with pytest.raises(RuntimeError, match="empty fileset"):
+            engine._pick_file(engine._threads[0], flowop)

@@ -115,20 +115,6 @@ class TestEngineExecution:
         second = engine.setup()
         assert first is second
 
-    def test_random_file_pick_covers_the_fileset_and_rejects_an_empty_one(self):
-        spec = simple_spec(
-            fileset=FilesetSpec(name="pool", file_count=10, size_distribution=FixedValue(4 * KiB)),
-            flowops=[FlowOp(op=OpType.READ, iosize=4 * KiB, file_selector=FileSelector.RANDOM)],
-        )
-        engine = WorkloadEngine(make_stack(), spec, seed=1)
-        engine.setup()
-        picked = {engine._pick_file(engine._threads[0], spec.flowops[0]) for _ in range(500)}
-        assert picked == set(range(10))
-
-        engine.fileset.paths.clear()
-        with pytest.raises(RuntimeError, match="empty fileset"):
-            engine._pick_file(engine._threads[0], spec.flowops[0])
-
 
 class TestOperationTypes:
     def test_write_workload_dirties_cache(self):
