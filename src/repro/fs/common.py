@@ -443,17 +443,16 @@ class UnixFileSystemBase(FileSystem):
     def map_read(self, inode: Inode, first_page: int, page_count: int) -> List[IORequest]:
         if page_count <= 0:
             raise ValueError("page_count must be positive")
-        requests: List[IORequest] = []
-        for device_block, run in inode.iter_device_runs(first_page, page_count):
-            requests.append(
-                IORequest(
-                    offset_bytes=device_block * self.block_size,
-                    nbytes=run * self.block_size,
-                    is_write=False,
-                )
-            )
-        self.stats.metadata_reads += 0  # data reads are not metadata; counter untouched
-        return requests
+        block_size = self.block_size
+        extent = inode.lookup_extent(first_page)
+        if extent is not None and first_page + page_count <= extent.file_end:
+            # The common case: the whole range lies inside one extent.
+            device_block = extent.device_block + (first_page - extent.file_block)
+            return [IORequest(device_block * block_size, page_count * block_size)]
+        return [
+            IORequest(device_block * block_size, run * block_size)
+            for device_block, run in inode.iter_device_runs(first_page, page_count)
+        ]
 
     def lookup_cost(self, path: str) -> OperationCost:
         cost = OperationCost()

@@ -294,10 +294,10 @@ class VFS:
             + self._copy_cost_ns(end - position)
         )
 
-        if missing:
-            latency += self._fault_in(inode, missing)
-
         file_pages = self._file_pages(inode)
+        if missing:
+            latency += self._fault_in(inode, missing, file_pages)
+
         ra_start, ra_count = handle.readahead.advise(first_page, page_count, file_pages)
         if ra_count:
             self._prefetch(inode, ra_start, ra_count)
@@ -311,9 +311,8 @@ class VFS:
     def _file_pages(self, inode: Inode) -> int:
         return max(1, -(-inode.size_bytes // self.page_size))
 
-    def _fault_in(self, inode: Inode, missing_pages: List[int]) -> float:
+    def _fault_in(self, inode: Inode, missing_pages: List[int], file_pages: int) -> float:
         """Bring missing pages in via cluster reads; returns device latency."""
-        file_pages = self._file_pages(inode)
         cluster = self.fs.cluster_pages
         ranges: List[Tuple[int, int]] = []
         for page in missing_pages:
@@ -331,10 +330,7 @@ class VFS:
         evicted_dirty: List[PageKey] = []
         for start, count in ranges:
             requests.extend(self.fs.map_read(inode, start, count))
-            for page in range(start, start + count):
-                for victim, was_dirty in cache.insert((ino, page)):
-                    if was_dirty:
-                        evicted_dirty.append(victim)
+            evicted_dirty.extend(cache.insert_pages(ino, start, count))
 
         latency = self._device_wait_and_service(requests)
         if evicted_dirty:
@@ -349,11 +345,15 @@ class VFS:
         if not needed:
             return
         requests = self.fs.map_read(inode, needed[0], needed[-1] - needed[0] + 1)
+        # One run per stretch of non-resident pages: a run over a resident
+        # page would promote it.
         evicted_dirty: List[PageKey] = []
-        for page in needed:
-            for victim, was_dirty in cache.insert((ino, page)):
-                if was_dirty:
-                    evicted_dirty.append(victim)
+        run_start = needed[0]
+        for previous, page in zip(needed, needed[1:]):
+            if page != previous + 1:
+                evicted_dirty.extend(cache.insert_pages(ino, run_start, previous - run_start + 1))
+                run_start = page
+        evicted_dirty.extend(cache.insert_pages(ino, run_start, needed[-1] - run_start + 1))
         self._device_async(requests)
         if evicted_dirty:
             self._writeback_keys(evicted_dirty, synchronous=False)
@@ -394,13 +394,9 @@ class VFS:
             if inode.lookup_extent(last_page) is not None:
                 rmw_pages.append(last_page)
         if rmw_pages:
-            latency += self._fault_in(inode, rmw_pages)
+            latency += self._fault_in(inode, rmw_pages, self._file_pages(inode))
 
-        evicted_dirty: List[PageKey] = []
-        for page in range(first_page, last_page + 1):
-            for victim, was_dirty in cache.insert((ino, page), dirty=True):
-                if was_dirty:
-                    evicted_dirty.append(victim)
+        evicted_dirty = cache.insert_pages(ino, first_page, last_page - first_page + 1, dirty=True)
         if evicted_dirty:
             latency += self._writeback_keys(evicted_dirty, synchronous=True)
 

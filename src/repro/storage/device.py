@@ -17,9 +17,15 @@ from repro.obs.metrics import MetricSource
 from repro.storage.disk import DeviceModel
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class IORequest:
     """A single block-level request.
+
+    Requests are never modified once built: merging and scheduling build new
+    ones or reorder the same objects.  The class is slotted, not frozen: a
+    frozen dataclass sets each field through ``object.__setattr__``, and
+    building a request, which the data path does for every device I/O, cost
+    about four times as much that way.  Being mutable, it is not hashable.
 
     Attributes
     ----------
@@ -251,17 +257,23 @@ class BlockDevice:
         """
         if not requests:
             return 0.0
-        head = getattr(self.model, "_head_offset", 0)
-        # Order first, merge second: coalescing only collapses *consecutive*
-        # contiguous requests, so the scheduler decides adjacency.  Under
-        # NOOP the dispatch order stays the arrival order; under elevator/
-        # deadline, sorting brings contiguous requests together and they
-        # merge exactly as a real block layer's sorted queue would.
-        ordered = self.scheduler.order(list(requests), head)
-        if self.merge:
-            before = len(ordered)
-            ordered = IOScheduler.merge_adjacent(ordered)
-            self.stats.merged_requests += before - len(ordered)
+        if len(requests) == 1:
+            # Every scheduler returns a batch of one unchanged, and there is
+            # nothing to merge it with.
+            ordered = requests
+        else:
+            head = getattr(self.model, "_head_offset", 0)
+            # Order first, merge second: coalescing only collapses
+            # *consecutive* contiguous requests, so the scheduler decides
+            # adjacency.  Under NOOP the dispatch order stays the arrival
+            # order; under elevator/deadline, sorting brings contiguous
+            # requests together and they merge exactly as a real block
+            # layer's sorted queue would.
+            ordered = self.scheduler.order(list(requests), head)
+            if self.merge:
+                before = len(ordered)
+                ordered = IOScheduler.merge_adjacent(ordered)
+                self.stats.merged_requests += before - len(ordered)
 
         total = 0.0
         tracer = self.tracer

@@ -60,6 +60,17 @@ GiB = 1024 * MiB
 #: GC victim-selection policies understood by :class:`FlashTranslationLayer`.
 GC_POLICIES = ("greedy", "cost-benefit")
 
+#: The FTL maps' entry for a logical page with no data, or a physical page
+#: that holds none.
+UNMAPPED = -1
+
+
+def _check_indices(field: str, values: List[int], limit: int) -> None:
+    """Raise ``ValueError`` unless every one of ``values`` lies in ``[0, limit)``."""
+    if values and (min(values) < 0 or max(values) >= limit):
+        bad = next(value for value in values if not 0 <= value < limit)
+        raise ValueError(f"FTL snapshot field {field!r} holds {bad}, outside [0, {limit})")
+
 
 @dataclass(frozen=True)
 class FlashGeometry:
@@ -227,10 +238,13 @@ class FlashTranslationLayer(DeviceModel):
     def _init_mapping(self) -> None:
         geometry = self.geometry
         blocks = geometry.physical_blocks
-        #: logical page -> physical page (only mapped pages present).
-        self._l2p: Dict[int, int] = {}
-        #: physical page -> logical page (only valid pages present).
-        self._p2l: Dict[int, int] = {}
+        #: logical page -> physical page, ``UNMAPPED`` where no data lives.
+        self._l2p: List[int] = [UNMAPPED] * geometry.logical_pages
+        #: physical page -> logical page, ``UNMAPPED`` where the page is
+        #: erased or invalid.
+        self._p2l: List[int] = [UNMAPPED] * geometry.physical_pages
+        # lint: ephemeral -- the number of mapped entries in _l2p, kept beside it
+        self._mapped = 0
         self._block_valid = [0] * blocks
         self._block_write_ptr = [0] * blocks
         self._erase_count = [0] * blocks
@@ -251,7 +265,7 @@ class FlashTranslationLayer(DeviceModel):
 
     # ------------------------------------------------------------- mapping
     def _invalidate_physical(self, physical_page: int) -> None:
-        del self._p2l[physical_page]
+        self._p2l[physical_page] = UNMAPPED
         self._block_valid[physical_page // self.geometry.pages_per_block] -= 1
 
     def _frontier_slot(self) -> int:
@@ -278,8 +292,10 @@ class FlashTranslationLayer(DeviceModel):
         return slot
 
     def _program(self, logical_page: int, moved: bool) -> None:
-        old = self._l2p.get(logical_page)
-        if old is not None:
+        old = self._l2p[logical_page]
+        if old == UNMAPPED:
+            self._mapped += 1
+        else:
             self._invalidate_physical(old)
         slot = self._frontier_slot()
         self._l2p[logical_page] = slot
@@ -328,9 +344,7 @@ class FlashTranslationLayer(DeviceModel):
         pages_per_block = geometry.pages_per_block
         first = victim * pages_per_block
         survivors = sorted(
-            self._p2l[page]
-            for page in range(first, first + pages_per_block)
-            if page in self._p2l
+            logical for logical in self._p2l[first:first + pages_per_block] if logical != UNMAPPED
         )
         for logical_page in survivors:
             self._program(logical_page, moved=True)
@@ -400,9 +414,12 @@ class FlashTranslationLayer(DeviceModel):
         # and tail pages keep their mapping.
         first = -(-offset_bytes // page)
         last = (offset_bytes + nbytes) // page - 1
+        l2p = self._l2p
         for logical_page in range(first, last + 1):
-            old = self._l2p.pop(logical_page, None)
-            if old is not None:
+            old = l2p[logical_page]
+            if old != UNMAPPED:
+                l2p[logical_page] = UNMAPPED
+                self._mapped -= 1
                 self._invalidate_physical(old)
         return self._discard_ns
 
@@ -413,7 +430,7 @@ class FlashTranslationLayer(DeviceModel):
     # ------------------------------------------------------------ inspection
     def utilization(self) -> float:
         """Fraction of logical pages currently mapped to live data."""
-        return len(self._l2p) / max(1, self.geometry.logical_pages)
+        return self._mapped / max(1, self.geometry.logical_pages)
 
     def free_physical_blocks(self) -> int:
         """Erased blocks available to the write frontier."""
@@ -451,7 +468,7 @@ class FlashTranslationLayer(DeviceModel):
             # The victim-selection policy shapes every future GC decision, so
             # it is state, not configuration: restore adopts it.
             "gc_policy": self.gc_policy,
-            "l2p": sorted([lp, pp] for lp, pp in self._l2p.items()),
+            "l2p": [[lp, pp] for lp, pp in enumerate(self._l2p) if pp != UNMAPPED],
             "write_ptr": list(self._block_write_ptr),
             "erase_count": list(self._erase_count),
             "block_seq": list(self._block_seq),
@@ -485,22 +502,41 @@ class FlashTranslationLayer(DeviceModel):
         policy = state.get("gc_policy", self.gc_policy)
         if policy not in GC_POLICIES:
             raise ValueError(f"FTL snapshot has unknown gc_policy {policy!r}")
-        self.gc_policy = policy
-        self._l2p = {int(lp): int(pp) for lp, pp in state["l2p"]}
-        self._p2l = {pp: lp for lp, pp in self._l2p.items()}
-        if len(self._p2l) != len(self._l2p):
+        # Checked before the lists are built: a negative index would write
+        # silently at their far end.
+        pairs = state["l2p"]
+        _check_indices("l2p", [lp for lp, _ in pairs], mine.logical_pages)
+        _check_indices("l2p", [pp for _, pp in pairs], mine.physical_pages)
+        free_blocks = [int(v) for v in state["free_blocks"]]
+        _check_indices("free_blocks", free_blocks, blocks)
+        active_block = int(state["active_block"])
+        _check_indices("active_block", [active_block], blocks)
+        l2p = [UNMAPPED] * mine.logical_pages
+        p2l = [UNMAPPED] * mine.physical_pages
+        for lp, pp in pairs:
+            l2p[lp] = pp
+            p2l[pp] = lp
+        if mine.logical_pages - l2p.count(UNMAPPED) != len(pairs):
+            raise ValueError("FTL snapshot field 'l2p' lists a logical page more than once")
+        if mine.physical_pages - p2l.count(UNMAPPED) != len(pairs):
             raise ValueError("FTL snapshot maps two logical pages to one physical page")
-        self._block_valid = [0] * blocks
-        for pp in self._p2l:
-            self._block_valid[pp // mine.pages_per_block] += 1
+        pages_per_block = mine.pages_per_block
+        self.gc_policy = policy
+        self._l2p = l2p
+        self._p2l = p2l
+        self._mapped = len(pairs)
+        self._block_valid = [
+            pages_per_block - p2l[first:first + pages_per_block].count(UNMAPPED)
+            for first in range(0, mine.physical_pages, pages_per_block)
+        ]
         self._block_write_ptr = [int(v) for v in state["write_ptr"]]
         self._erase_count = [int(v) for v in state["erase_count"]]
         self._block_seq = [int(v) for v in state["block_seq"]]
-        self._free_blocks = [int(v) for v in state["free_blocks"]]
+        self._free_blocks = free_blocks
         self._is_free = [False] * blocks
-        for block in self._free_blocks:
+        for block in free_blocks:
             self._is_free[block] = True
-        self._active_block = int(state["active_block"])
+        self._active_block = active_block
         self._seq = int(state["seq"])
         self._in_gc = False
         self._pending_gc_ns = 0.0

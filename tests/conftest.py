@@ -15,10 +15,7 @@ import pytest
 
 from repro.core.parallel import ParallelExecutor
 from repro.core.runner import BenchmarkConfig, EnvironmentNoise, WarmupMode
-from repro.fs.stack import build_stack
-from repro.storage.config import paper_testbed, scaled_testbed
-
-MiB = 1024 * 1024
+from repro.storage.config import scaled_testbed
 
 
 @pytest.fixture
@@ -31,49 +28,6 @@ def rng():
 def tiny_testbed():
     """A 1/16-scale machine (32 MiB RAM, ~25.6 MiB page cache)."""
     return scaled_testbed(1.0 / 16.0)
-
-
-@pytest.fixture
-def small_testbed():
-    """A 1/8-scale machine (64 MiB RAM, ~51 MiB page cache)."""
-    return scaled_testbed(1.0 / 8.0)
-
-
-@pytest.fixture
-def full_testbed():
-    """The paper's 512 MiB machine."""
-    return paper_testbed()
-
-
-@pytest.fixture
-def ext2_stack(tiny_testbed):
-    """An ext2 stack on the tiny testbed."""
-    return build_stack("ext2", testbed=tiny_testbed, seed=7)
-
-
-@pytest.fixture
-def ext3_stack(tiny_testbed):
-    """An ext3 stack on the tiny testbed."""
-    return build_stack("ext3", testbed=tiny_testbed, seed=7)
-
-
-@pytest.fixture
-def xfs_stack(tiny_testbed):
-    """An xfs stack on the tiny testbed."""
-    return build_stack("xfs", testbed=tiny_testbed, seed=7)
-
-
-@pytest.fixture
-def quick_config():
-    """A fast measurement protocol for runner-level tests."""
-    return BenchmarkConfig(
-        duration_s=1.0,
-        repetitions=2,
-        warmup_mode=WarmupMode.PREWARM,
-        interval_s=0.25,
-        seed=11,
-        noise=EnvironmentNoise(cache_noise_bytes=1 * MiB, cpu_noise_sigma=0.01),
-    )
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.storage.device import (
+    SCHEDULER_REGISTRY,
     BlockDevice,
     DeadlineScheduler,
     ElevatorScheduler,
@@ -14,6 +15,7 @@ from repro.storage.device import (
     make_scheduler,
 )
 from repro.storage.disk import MechanicalDisk, RamDisk
+from repro.storage.flash import FlashTranslationLayer, default_flash_geometry
 
 
 @pytest.fixture
@@ -158,6 +160,28 @@ class TestBlockDevice:
             return device.submit(batch, random.Random(5))
 
         assert total_time(ElevatorScheduler()) < total_time(NoopScheduler())
+
+    @pytest.mark.parametrize("scheduler", sorted(SCHEDULER_REGISTRY))
+    @pytest.mark.parametrize("kind", ["read", "write", "discard"])
+    def test_one_request_batch_is_dispatched_as_ordering_and_merging_would(self, scheduler, kind):
+        """A batch of one skips the scheduler and the merge, which would return it unchanged."""
+        request = IORequest(
+            12 * 4096, 8192, is_write=kind == "write", is_discard=kind == "discard", priority=1
+        )
+        assert make_scheduler(scheduler).order([request], head_offset=1 << 20) == [request]
+        assert IOScheduler.merge_adjacent([request]) == [request]
+
+        geometry = default_flash_geometry(1 << 30)
+        device = BlockDevice(FlashTranslationLayer(geometry), scheduler=make_scheduler(scheduler))
+        latency = device.submit([request], random.Random(3))
+        twin = FlashTranslationLayer(geometry)
+        expected = getattr(twin, kind)(request.offset_bytes, request.nbytes, random.Random(3))
+        assert latency == expected
+        assert device.model.export_state() == twin.export_state()
+        stats = device.stats
+        assert (stats.requests, stats.batches, stats.merged_requests) == (1, 1, 0)
+        assert getattr(stats, f"{kind}_requests") == 1
+        assert stats.total_service_ns == latency
 
     def test_flush_delegates_to_model(self, rng):
         hdd = BlockDevice(MechanicalDisk())

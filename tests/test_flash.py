@@ -248,6 +248,54 @@ class TestFtlSnapshot:
         with pytest.raises(ValueError):
             ftl.restore_state(state)
 
+    @staticmethod
+    def _written_state(rng):
+        ftl = FlashTranslationLayer(tiny_geometry())
+        ftl.write(0, 4 * ftl.geometry.page_bytes, rng)
+        return ftl.geometry, ftl.export_state()
+
+    def _assert_rejected(self, state, field):
+        target = FlashTranslationLayer(tiny_geometry())
+        before = target.export_state()
+        with pytest.raises(ValueError, match=field):
+            target.restore_state(state)
+        assert target.export_state() == before
+
+    def test_restore_rejects_a_negative_logical_page(self, rng):
+        _, state = self._written_state(rng)
+        state["l2p"][0][0] = -1
+        self._assert_rejected(state, "'l2p'")
+
+    def test_restore_rejects_a_logical_page_past_the_device(self, rng):
+        geometry, state = self._written_state(rng)
+        state["l2p"][-1][0] = geometry.logical_pages
+        self._assert_rejected(state, "'l2p'")
+
+    def test_restore_rejects_a_negative_physical_page(self, rng):
+        _, state = self._written_state(rng)
+        state["l2p"][0][1] = -1
+        self._assert_rejected(state, "'l2p'")
+
+    def test_restore_rejects_a_physical_page_past_the_device(self, rng):
+        geometry, state = self._written_state(rng)
+        state["l2p"][0][1] = geometry.physical_pages
+        self._assert_rejected(state, "'l2p'")
+
+    def test_restore_rejects_a_logical_page_listed_twice(self, rng):
+        _, state = self._written_state(rng)
+        state["l2p"][1][0] = state["l2p"][0][0]
+        self._assert_rejected(state, "'l2p'")
+
+    def test_restore_rejects_an_active_block_past_the_last_block(self, rng):
+        geometry, state = self._written_state(rng)
+        state["active_block"] = geometry.physical_blocks
+        self._assert_rejected(state, "'active_block'")
+
+    def test_restore_rejects_a_free_block_past_the_last_block(self, rng):
+        geometry, state = self._written_state(rng)
+        state["free_blocks"][-1] = geometry.physical_blocks
+        self._assert_rejected(state, "'free_blocks'")
+
 
 class TestPreconditioning:
     def test_reaches_steady_state_with_wa_above_one(self):

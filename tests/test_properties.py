@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.histogram import from_latencies
@@ -12,7 +12,10 @@ from repro.core.steady_state import detect_steady_state
 from repro.core.timeline import IntervalSeries
 from repro.fs.allocation import BlockGroupAllocator, ExtentAllocator, MultiBlockAllocator
 from repro.fs.base import Extent, Inode, InodeType, NoSpaceError
+from repro.fs.ext2 import Ext2FileSystem
 from repro.storage.cache import CachePolicy, PageCache
+from repro.storage.device import IORequest
+from repro.storage.flash import GC_POLICIES, UNMAPPED, FlashGeometry, FlashTranslationLayer
 from repro.storage.readahead import DEFAULT_READAHEAD, ReadaheadState
 
 # ---------------------------------------------------------------------------
@@ -131,6 +134,132 @@ def test_cache_stats_consistent(accesses, capacity):
     assert 0.0 <= cache.stats.hit_ratio <= 1.0
 
 
+run_ops = st.lists(
+    st.one_of(
+        # One page through ``insert``: makes pages resident (and dirty)
+        # before the runs that come over them.
+        st.tuples(st.just("insert"), st.sampled_from(INODES), st.integers(0, 60), st.just(1),
+                  st.booleans()),
+        st.tuples(st.just("lookup"), st.sampled_from(INODES), st.integers(0, 60), st.just(1),
+                  st.just(False)),
+        st.tuples(st.just("run"), st.sampled_from(INODES), st.integers(0, 60), st.integers(1, 24),
+                  st.booleans()),
+    ),
+    max_size=60,
+)
+
+
+def assert_same_cache(left, right):
+    assert left.export_state() == right.export_state()
+    assert left.stats == right.stats
+    assert len(left) == len(right)
+    # Ghost lists, ARC's target and CLOCK's reference bits are not exported.
+    assert vars(left._policy) == vars(right._policy)
+
+
+@given(ops=run_ops, capacity=st.integers(min_value=0, max_value=24),
+       policy=st.sampled_from(list(CachePolicy)))
+@example(ops=[("run", 0, 0, 8, False)], capacity=0, policy=CachePolicy.LRU)
+@example(ops=[("insert", 0, 3, 1, False), ("insert", 1, 0, 1, True), ("run", 0, 0, 8, False)],
+         capacity=6, policy=CachePolicy.LRU)
+@example(ops=[("run", 0, 0, 6, True), ("run", 1, 0, 6, True), ("run", 0, 2, 6, False)],
+         capacity=8, policy=CachePolicy.TWO_Q)
+@settings(max_examples=80, deadline=None)
+def test_insert_pages_equals_a_per_page_insert_loop(ops, capacity, policy):
+    by_run = PageCache(capacity_pages=capacity, policy=policy)
+    by_page = PageCache(capacity_pages=capacity, policy=policy)
+    for op, ino, first, count, dirty in ops:
+        if op == "lookup":
+            assert by_run.lookup((ino, first)) == by_page.lookup((ino, first))
+        elif op == "insert":
+            assert by_run.insert((ino, first), dirty=dirty) == by_page.insert((ino, first), dirty=dirty)
+        else:
+            victims = [
+                victim
+                for page in range(first, first + count)
+                for victim, was_dirty in by_page.insert((ino, page), dirty=dirty)
+                if was_dirty
+            ]
+            assert by_run.insert_pages(ino, first, count, dirty=dirty) == victims
+        assert_same_cache(by_run, by_page)
+
+
+# ---------------------------------------------------------------------------
+# FTL map invariants
+# ---------------------------------------------------------------------------
+
+#: 256 logical pages of 16 KiB over 40 blocks of 8: garbage collection starts
+#: after about 300 page writes.
+FTL_GEOMETRY = FlashGeometry(
+    capacity_bytes=4 * 1024 * 1024,
+    page_bytes=16 * 1024,
+    pages_per_block=8,
+    over_provisioning=0.25,
+    gc_low_watermark_blocks=3,
+    gc_high_watermark_blocks=6,
+)
+
+ftl_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), st.integers(0, FTL_GEOMETRY.logical_pages - 1), st.integers(1, 64)),
+        # A byte range, so partial head and tail pages stay mapped.
+        st.tuples(st.just("discard"), st.integers(0, FTL_GEOMETRY.capacity_bytes - 1),
+                  st.integers(1, 256 * 1024)),
+        st.tuples(st.just("restore"), st.just(0), st.just(0)),
+    ),
+    max_size=120,
+)
+
+
+def assert_ftl_maps_consistent(ftl, mapped):
+    """Check the FTL's maps against each other and against ``mapped``, a set oracle."""
+    geometry = ftl.geometry
+    logical = {lp for lp, pp in enumerate(ftl._l2p) if pp != UNMAPPED}
+    assert logical == mapped
+    assert ftl._mapped == len(mapped)
+    assert ftl.utilization() == len(mapped) / geometry.logical_pages
+    for lp, pp in enumerate(ftl._l2p):
+        if pp != UNMAPPED:
+            assert ftl._p2l[pp] == lp
+    for pp, lp in enumerate(ftl._p2l):
+        if lp != UNMAPPED:
+            assert ftl._l2p[lp] == pp
+    per_block = [0] * geometry.physical_blocks
+    for pp, lp in enumerate(ftl._p2l):
+        if lp != UNMAPPED:
+            per_block[pp // geometry.pages_per_block] += 1
+    assert ftl._block_valid == per_block
+
+
+@given(passes=st.integers(0, 3), ops=ftl_ops, gc_policy=st.sampled_from(GC_POLICIES))
+@settings(max_examples=60, deadline=None)
+def test_ftl_maps_stay_inverse_and_counted(passes, ops, gc_policy):
+    ftl = FlashTranslationLayer(FTL_GEOMETRY, gc_policy=gc_policy)
+    page_bytes = FTL_GEOMETRY.page_bytes
+    rng = random.Random(0)
+    # Sequential passes over the device first: from the second one on,
+    # garbage collection runs.
+    for _ in range(passes):
+        ftl.write(0, FTL_GEOMETRY.capacity_bytes, rng)
+    mapped = set(range(FTL_GEOMETRY.logical_pages)) if passes else set()
+    assert_ftl_maps_consistent(ftl, mapped)
+    for op, start, size in ops:
+        if op == "write":
+            count = min(size, FTL_GEOMETRY.logical_pages - start)
+            ftl.write(start * page_bytes, count * page_bytes, rng)
+            mapped.update(range(start, start + count))
+        elif op == "discard":
+            size = min(size, FTL_GEOMETRY.capacity_bytes - start)
+            ftl.discard(start, size, rng)
+            mapped.difference_update(range(-(-start // page_bytes), (start + size) // page_bytes))
+        else:
+            state = ftl.export_state()
+            ftl = FlashTranslationLayer(FTL_GEOMETRY)
+            ftl.restore_state(state)
+            assert ftl.export_state() == state
+        assert_ftl_maps_consistent(ftl, mapped)
+
+
 # ---------------------------------------------------------------------------
 # Allocator invariants
 # ---------------------------------------------------------------------------
@@ -243,6 +372,8 @@ def test_inode_mapping_covers_every_mapped_block(run_lengths, gap):
         assert extent.file_block <= block < extent.file_end
 
 
+MAP_READ_FS = Ext2FileSystem(64 * 1024 * 1024)
+
 extent_map_ops = st.lists(
     st.one_of(
         # (hole before the extent, its length, physical gap after the previous one)
@@ -277,6 +408,29 @@ def test_inode_block_count_and_lookup_match_linear_scan(ops):
         assert covered == inode.blocks_allocated()
     rebuilt = Inode(number=1, inode_type=InodeType.REGULAR, extents=list(inode.extents))
     assert rebuilt.blocks_allocated() == inode.blocks_allocated()
+
+
+@given(ops=extent_map_ops, first=st.integers(0, 600), count=st.integers(1, 300))
+@settings(max_examples=80, deadline=None)
+def test_map_read_requests_cover_the_mapped_runs(ops, first, count):
+    """One request per device run: built from one extent when the range lies
+    inside it, from ``iter_device_runs`` across holes and extent breaks."""
+    inode = Inode(number=1, inode_type=InodeType.REGULAR)
+    device_block = 1000
+    for op, hole_or_keep, length, gap in ops:
+        if op == "add":
+            file_block = (inode.extents[-1].file_end if inode.extents else 0) + hole_or_keep
+            device_block += gap
+            inode.add_extent(Extent(file_block, device_block, length))
+            device_block += length
+        else:
+            inode.truncate_extents(hole_or_keep)
+    block_size = MAP_READ_FS.block_size
+    expected = [
+        IORequest(block * block_size, run * block_size)
+        for block, run in inode.iter_device_runs(first, count)
+    ]
+    assert MAP_READ_FS.map_read(inode, first, count) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,26 @@ class TestReadPath:
             vfs.read(fd, 128 * KiB, offset=offset)
         assert vfs.stats.readahead_pages > 0
 
+    def test_prefetch_inserts_only_missing_pages_and_promotes_none(self, stack, monkeypatch):
+        vfs = stack.vfs
+        make_file(vfs, "/ra", size=1 * MiB)
+        stack.drop_caches()
+        inode = vfs.fs.resolve("/ra")
+        ino = inode.number
+        stack.cache.insert((ino, 3))
+        stack.cache.insert((ino, 7))
+        insertions = stack.cache.stats.insertions
+        batches = record_submits(vfs, monkeypatch)
+        vfs._prefetch(inode, 0, 12)
+        order = [page for key_ino, page in stack.cache._policy.resident_order() if key_ino == ino]
+        # The resident pages keep their place at the cold end of the LRU list.
+        assert order == [3, 7, 0, 1, 2, 4, 5, 6, 8, 9, 10, 11]
+        assert vfs.stats.readahead_pages == 10
+        assert stack.cache.stats.insertions - insertions == 10
+        # One read covers the window, resident pages included.
+        extent = inode.lookup_extent(0)
+        assert batches == [[(extent.device_block_for(0) * 4096, 12 * 4096, False)]]
+
     def test_no_readahead_policy_disables_prefetch(self):
         stack = build_stack(
             "ext2", testbed=scaled_testbed(1.0 / 16.0), seed=3, readahead_policy=NO_READAHEAD
