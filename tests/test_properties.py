@@ -221,12 +221,10 @@ def assert_ftl_maps_consistent(ftl, mapped):
     for lp, pp in enumerate(ftl._l2p):
         if pp != UNMAPPED:
             assert ftl._p2l[pp] == lp
-    for pp, lp in enumerate(ftl._p2l):
-        if lp != UNMAPPED:
-            assert ftl._l2p[lp] == pp
     per_block = [0] * geometry.physical_blocks
     for pp, lp in enumerate(ftl._p2l):
         if lp != UNMAPPED:
+            assert ftl._l2p[lp] == pp
             per_block[pp // geometry.pages_per_block] += 1
     assert ftl._block_valid == per_block
 
