@@ -424,11 +424,20 @@ def test_map_read_requests_cover_the_mapped_runs(ops, first, count):
         else:
             inode.truncate_extents(hole_or_keep)
     block_size = MAP_READ_FS.block_size
-    expected = [
-        IORequest(block * block_size, run * block_size)
-        for block, run in inode.iter_device_runs(first, count)
-    ]
-    assert MAP_READ_FS.map_read(inode, first, count) == expected
+    # The drawn range, and ranges that start at or near each extent's ends
+    # and end one block before, at, or one block past its end.
+    ranges = [(first, count)]
+    for extent in inode.extents:
+        for start in (extent.file_block, extent.file_end - 1):
+            for past_end in (-1, 0, 1):
+                if extent.file_end + past_end > start:
+                    ranges.append((start, extent.file_end + past_end - start))
+    for start, length in ranges:
+        expected = [
+            IORequest(block * block_size, run * block_size)
+            for block, run in inode.iter_device_runs(start, length)
+        ]
+        assert MAP_READ_FS.map_read(inode, start, length) == expected
 
 
 # ---------------------------------------------------------------------------
